@@ -23,7 +23,7 @@ from .decomposition import (
     w_project,
 )
 from .errors import DomainViolation, InternalCheckFailure, SchemaViolation
-from .realization import realize, verify_realization
+from .realization import VERIFICATION_KEYS, realize
 from .selfcheck import run_selftest
 from .serialization import (
     read_tensor_file,
@@ -124,9 +124,8 @@ def _cmd_realize(args) -> int:
     tensor = read_tensor_file(args.input)
     result = realize(tensor, mode=args.mode)
     write_theta_file(args.out, result.theta)
-    checked = verify_realization(tensor, result.theta)
-    for name, value in checked.items():
-        print(f"{name} {value:.6e}")
+    for name in VERIFICATION_KEYS:
+        print(f"{name} {result.report[name]:.6e}")
     print(f"verified {'true' if result.verified else 'false'}")
     print(f"theta_written {args.out}")
     _write_report(

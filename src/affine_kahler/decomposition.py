@@ -1,12 +1,17 @@
 """Construction of the admissible tensor space K and its twelve-module split.
 
-K is realized concretely as the nullspace of the integer constraint matrix of
+K is realized concretely as the image of the degree-1 coefficient map: the
+origin curvatures of the unit degree-1, origin-vanishing coefficient
+directions.  The columns are assembled once per size and each must satisfy
 the three defining identities (antisymmetry in the first pair, the first
-Bianchi identity, J-invariance of the last pair) inside R^(m^4).  The twelve
-mutually orthogonal submodules W1..W12 are carved out of the parity
-eigenspaces K+ and K- by kernel and symmetry conditions on the trace maps;
-every dimension and orthogonality claim is re-verified during construction
-and a failure raises loudly instead of returning a bad basis.
+Bianchi identity, J-invariance of the last pair); their span must have the
+closed-form dimension, and the holomorphic / antiholomorphic columns span
+the parity eigenspaces K- / K+.  The kernel of the integer constraint matrix
+of the three identities is an independent oracle for K kept in the tests.
+The twelve mutually orthogonal submodules W1..W12 are carved out of K+ and
+K- by kernel and symmetry conditions on the trace maps; every dimension and
+orthogonality claim is re-verified during construction and a failure raises
+loudly instead of returning a bad basis.
 
 Bilinear forms decompose in parallel into six pieces: symmetric/antisymmetric
 crossed with J-parity, with the metric and Kahler-form lines split off the
@@ -16,17 +21,21 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .connections import ThetaField, linear_curvature_at_zero
 from .errors import DomainViolation, InternalCheckFailure
-from .linalg import Subspace, complement_within, kernel_within, nullspace, orthonormalize
+from .linalg import Subspace, _rank_threshold, complement_within, kernel_within, orthonormalize
+from .polynomials import ComplexPoly
 from .tensors import (
     DEFAULT_TOL,
     Bilinear2,
     SpaceConfig,
     Tensor4,
     apply_j_slots,
+    k_identity_violations,
     kahler_form,
     require_in_k,
     standard_complex_structure,
@@ -114,102 +123,168 @@ def module_dimension_table(m_bar: int) -> DimensionTable:
 
 
 # ---------------------------------------------------------------------------
-# the constraint space K
+# the space K as the image of the degree-1 coefficient map
 # ---------------------------------------------------------------------------
 
-def _slot_permutation_matrix(m: int, perm_of_slots) -> np.ndarray:
-    """Dense matrix P with (P A)[a,b,c,d] = A[perm_of_slots(a,b,c,d)]."""
-    n = m ** 4
-    grids = np.indices((m, m, m, m)).reshape(4, -1)
-    pa, pb, pc, pd = perm_of_slots(*grids)
-    cols = ((pa * m + pb) * m + pc) * m + pd
-    mat = np.zeros((n, n))
-    mat[np.arange(n), cols] = 1.0
-    return mat
+HOLOMORPHIC = "hol"
+ANTIHOLOMORPHIC = "anti"
 
 
-def kahler_constraint_matrix(config: SpaceConfig) -> np.ndarray:
-    """Integer constraint matrix whose kernel is K, stacked identity by identity."""
-    m = config.m
-    n = m ** 4
-    eye = np.eye(n)
+class ColumnKey(NamedTuple):
+    """One real parameter of a degree-1 coefficient field.
 
-    antisym = eye + _slot_permutation_matrix(m, lambda a, b, c, d: (b, a, c, d))
-    bianchi = (
-        eye
-        + _slot_permutation_matrix(m, lambda a, b, c, d: (b, c, a, d))
-        + _slot_permutation_matrix(m, lambda a, b, c, d: (c, a, b, d))
-    )
+    ``kind`` selects the holomorphic (c * z_a) or antiholomorphic
+    (c * conj(z_a)) direction and ``part`` the real or imaginary unit
+    coefficient.  Columns are ordered by entry (i, j, k), then line a,
+    then kind (hol before anti), then part (re before im).
+    """
 
-    perm, signs = config.j_action()
-    grids = np.indices((m, m, m, m)).reshape(4, -1)
-    a, b, c, d = grids
-    cols = ((a * m + b) * m + perm[c]) * m + perm[d]
-    vals = signs[c] * signs[d]
-    j_inv = np.array(eye)
-    j_inv[np.arange(n), cols] -= vals
-
-    return np.vstack([antisym, bianchi, j_inv])
+    i: int
+    j: int
+    k: int
+    a: int
+    kind: str
+    part: str
 
 
+def _column_keys(m_bar: int) -> tuple[ColumnKey, ...]:
+    keys = []
+    for i in range(1, m_bar + 1):
+        for j in range(i, m_bar + 1):
+            for k in range(1, m_bar + 1):
+                for a in range(1, m_bar + 1):
+                    for kind in (HOLOMORPHIC, ANTIHOLOMORPHIC):
+                        for part in ("re", "im"):
+                            keys.append(ColumnKey(i, j, k, a, kind, part))
+    return tuple(keys)
+
+
+def _unit_theta(m_bar: int, key: ColumnKey) -> ThetaField:
+    base = ComplexPoly.z(m_bar, key.a) if key.kind == HOLOMORPHIC else ComplexPoly.z_bar(m_bar, key.a)
+    coeff = base if key.part == "re" else base.scale(0.0, 1.0)
+    return ThetaField(m_bar, {(key.i, key.j, key.k): coeff})
+
+
+@dataclass(frozen=True)
+class CurvatureCoefficientMap:
+    """Linear map from degree-1 coefficient parameters to curvature at the origin."""
+
+    config: SpaceConfig
+    matrix: np.ndarray  # shape (m^4, n_columns)
+    columns: tuple[ColumnKey, ...]
+
+    def column_mask(self, kind: str) -> np.ndarray:
+        return np.array([key.kind == kind for key in self.columns])
+
+    def rank(self, tol: float | None = None) -> int:
+        return _matrix_rank(self.matrix, tol)
+
+    def restricted_rank(self, kind: str, tol: float | None = None) -> int:
+        return _matrix_rank(self.matrix[:, self.column_mask(kind)], tol)
+
+
+def _matrix_rank(mat: np.ndarray, tol: float | None) -> int:
+    svals = np.linalg.svd(mat, compute_uv=False)
+    return int(np.sum(svals > _rank_threshold(svals, mat.shape, tol)))
+
+
+_map_cache: dict[int, CurvatureCoefficientMap] = {}
 _kahler_cache: dict[int, Subspace] = {}
 _parity_cache: dict[int, tuple[Subspace, Subspace]] = {}
 _w_cache: dict[int, dict[str, Subspace]] = {}
 _bilinear_cache: dict[int, dict[str, Subspace]] = {}
-# Re-entrant: builders call each other while holding the lock, which keeps
-# construction at-most-once per size under concurrency.
+# The one lock for every per-size cache.  Re-entrant: builders call each other
+# while holding it, which keeps construction at-most-once per size under
+# concurrency.
 _cache_lock = threading.RLock()
 
 
 def clear_caches() -> None:
     """Drop every per-size cache (used to time cold construction)."""
     with _cache_lock:
+        _map_cache.clear()
         _kahler_cache.clear()
         _parity_cache.clear()
         _w_cache.clear()
         _bilinear_cache.clear()
 
 
+def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
+    """The parameter-to-curvature matrix K is built from, assembled once per size.
+
+    Each column is the origin curvature of a unit degree-1 coefficient
+    direction and must satisfy the defining identities to 1e-12; a failure
+    is an internal error.  The span checks live in kahler_space_basis and
+    kahler_parity_subspaces.
+    """
+    _require_decomposable(config.m_bar)
+    with _cache_lock:
+        cached = _map_cache.get(config.m_bar)
+        if cached is not None:
+            return cached
+        keys = _column_keys(config.m_bar)
+        cols = np.stack(
+            [linear_curvature_at_zero(_unit_theta(config.m_bar, key)).flatten() for key in keys],
+            axis=1,
+        )
+        m = config.m
+        worst = max(k_identity_violations(cols.T.reshape(-1, m, m, m, m), config).values())
+        if worst > 1e-12:
+            raise InternalCheckFailure(f"a coefficient-map column violates the identities by {worst:.3e}")
+        cols.setflags(write=False)
+        built = CurvatureCoefficientMap(config=config, matrix=cols, columns=keys)
+        _map_cache[config.m_bar] = built
+        return built
+
+
 def kahler_space_basis(config: SpaceConfig) -> Subspace:
-    """Orthonormal basis of K inside R^(m^4); dimension checked against the formula."""
+    """Orthonormal basis of K inside R^(m^4): the column span of the coefficient map.
+
+    The dimension is checked against the closed form.
+    """
     _require_decomposable(config.m_bar)
     with _cache_lock:
         cached = _kahler_cache.get(config.m_bar)
         if cached is not None:
             return cached
-        space = nullspace(kahler_constraint_matrix(config))
+        space = orthonormalize(coefficient_map(config).matrix.T)
         expected = kahler_space_dimension(config.m_bar)
         if space.dim != expected:
             raise InternalCheckFailure(
-                f"dim K = {space.dim} from the constraint kernel, expected {expected}"
+                f"dim K = {space.dim} from the coefficient-map image, expected {expected}"
             )
         _kahler_cache[config.m_bar] = space
         return space
 
 
-def _parity_conjugate_flat(config: SpaceConfig, flat: np.ndarray) -> np.ndarray:
-    m = config.m
-    return apply_j_slots(flat.reshape(m, m, m, m), config, (0, 1, 2, 3)).reshape(-1)
-
-
 def kahler_parity_subspaces(config: SpaceConfig) -> tuple[Subspace, Subspace]:
-    """(K+, K-): eigenspaces of full J-conjugation inside K."""
+    """(K+, K-): eigenspaces of full J-conjugation inside K.
+
+    K- is the span of the holomorphic columns of the coefficient map and K+
+    that of the antiholomorphic ones.  Their dimensions must add up to dim K
+    and every basis row must be fixed (K+) or negated (K-) by the
+    conjugation to 1e-10, which together make them the two eigenspaces.
+    """
     with _cache_lock:
         cached = _parity_cache.get(config.m_bar)
         if cached is not None:
             return cached
         space = kahler_space_basis(config)
-        conj = np.stack([_parity_conjugate_flat(config, row) for row in space.basis])
-        plus = _orthonormal_rows((space.basis + conj) / 2.0, space.ambient_dim)
-        minus = _orthonormal_rows((space.basis - conj) / 2.0, space.ambient_dim)
+        cmap = coefficient_map(config)
+        hol = cmap.column_mask(HOLOMORPHIC)
+        plus = orthonormalize(cmap.matrix[:, ~hol].T)
+        minus = orthonormalize(cmap.matrix[:, hol].T)
         if plus.dim + minus.dim != space.dim:
             raise InternalCheckFailure("parity eigenspaces do not fill K")
+        m = config.m
+        for label, sub, sign in (("K+", plus, 1.0), ("K-", minus, -1.0)):
+            rows = sub.basis.reshape(-1, m, m, m, m)
+            conj = apply_j_slots(rows, config, (1, 2, 3, 4))
+            gap = float(np.max(np.abs(conj - sign * rows)))
+            if gap > 1e-10:
+                raise InternalCheckFailure(f"{label} basis has the wrong J-parity by {gap:.3e}")
         _parity_cache[config.m_bar] = (plus, minus)
         return plus, minus
-
-
-def _orthonormal_rows(rows: np.ndarray, ambient_dim: int) -> Subspace:
-    return orthonormalize(rows, ambient_dim=ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +407,8 @@ def _build_w_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
     n_plus = kernel_within(plus, _map_on_basis(plus, rho_both), tol=_RANK_TOL)
     spaces["W9"] = kernel_within(n_plus, _map_on_basis(n_plus, lambda f: _swap34_plus_flat(m, f)), tol=_RANK_TOL)
     spaces["W10"] = kernel_within(n_plus, _map_on_basis(n_plus, lambda f: _swap34_minus_flat(m, f)), tol=_RANK_TOL)
-    w9w10 = _orthonormal_rows(
-        np.vstack([spaces["W9"].basis, spaces["W10"].basis]), n_plus.ambient_dim
+    w9w10 = orthonormalize(
+        np.vstack([spaces["W9"].basis, spaces["W10"].basis]), ambient_dim=n_plus.ambient_dim
     )
     spaces["W11"] = complement_within(w9w10, n_plus)
 
@@ -485,7 +560,7 @@ def bilinear_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
                 for label, part in split.parts().items():
                     collected[label].append(part.entries.reshape(-1))
         out = {
-            label: _orthonormal_rows(np.stack(rows), m * m)
+            label: orthonormalize(np.stack(rows), ambient_dim=m * m)
             for label, rows in collected.items()
         }
         total = sum(space.dim for space in out.values())

@@ -95,7 +95,9 @@ def nullspace(mat: np.ndarray, tol: float | None = None) -> Subspace:
     rows, cols = mat.shape
     if rows == 0 or not mat.any():
         return Subspace(cols, np.eye(cols))
-    _, svals, vt = np.linalg.svd(mat, full_matrices=True)
+    # A tall matrix already yields a square V^T from the thin SVD; only a wide
+    # one needs the full factor.  The rows x rows U factor is never used.
+    _, svals, vt = np.linalg.svd(mat, full_matrices=rows < cols)
     cutoff = _rank_threshold(svals, mat.shape, tol)
     rank = int(np.sum(svals > cutoff))
     return Subspace(cols, vt[rank:])

@@ -8,13 +8,12 @@ unit coefficient.  Curvature at the origin is linear in these parameters, so
 realization reduces to a (minimum-norm) least-squares solve against the
 assembled column matrix.  The column span equals the whole admissible space,
 and the holomorphic / antiholomorphic column subsets span exactly the odd /
-even J-parity parts; both facts are verified when the map is built.
+even J-parity parts: the decomposition layer builds K, K- and K+ as exactly
+these spans and verifies both facts once per size.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,11 +23,17 @@ from .connections import (
     connection_from_theta,
     curvature_at,
     holomorphy_type,
-    linear_curvature_at_zero,
     nabla_j_residual,
     torsion_residual,
 )
-from .decomposition import kahler_parity_subspaces, kahler_space_basis, kahler_space_dimension
+from .decomposition import (
+    ANTIHOLOMORPHIC,
+    HOLOMORPHIC,
+    ColumnKey,
+    CurvatureCoefficientMap,
+    coefficient_map,
+    kahler_parity_subspaces,
+)
 from .errors import InternalCheckFailure
 from .linalg import least_squares_solve
 from .polynomials import ComplexPoly
@@ -44,44 +49,6 @@ from .tensors import (
 
 #: Relative residual bound for a successful realization.
 REALIZE_TOL = 1e-8
-
-HOLOMORPHIC = "hol"
-ANTIHOLOMORPHIC = "anti"
-
-
-class ColumnKey(NamedTuple):
-    """One real parameter of a degree-1 coefficient field.
-
-    ``kind`` selects the holomorphic (c * z_a) or antiholomorphic
-    (c * conj(z_a)) direction and ``part`` the real or imaginary unit
-    coefficient.  Columns are ordered by entry (i, j, k), then line a,
-    then kind (hol before anti), then part (re before im).
-    """
-
-    i: int
-    j: int
-    k: int
-    a: int
-    kind: str
-    part: str
-
-
-def _column_keys(m_bar: int) -> tuple[ColumnKey, ...]:
-    keys = []
-    for i in range(1, m_bar + 1):
-        for j in range(i, m_bar + 1):
-            for k in range(1, m_bar + 1):
-                for a in range(1, m_bar + 1):
-                    for kind in (HOLOMORPHIC, ANTIHOLOMORPHIC):
-                        for part in ("re", "im"):
-                            keys.append(ColumnKey(i, j, k, a, kind, part))
-    return tuple(keys)
-
-
-def _unit_theta(m_bar: int, key: ColumnKey) -> ThetaField:
-    base = ComplexPoly.z(m_bar, key.a) if key.kind == HOLOMORPHIC else ComplexPoly.z_bar(m_bar, key.a)
-    coeff = base if key.part == "re" else base.scale(0.0, 1.0)
-    return ThetaField(m_bar, {(key.i, key.j, key.k): coeff})
 
 
 def theta_from_coefficients(
@@ -100,81 +67,16 @@ def theta_from_coefficients(
     return ThetaField(m_bar, entries)
 
 
-@dataclass(frozen=True)
-class CurvatureCoefficientMap:
-    """Linear map from degree-1 coefficient parameters to curvature at the origin."""
-
-    config: SpaceConfig
-    matrix: np.ndarray  # shape (m^4, n_columns)
-    columns: tuple[ColumnKey, ...]
-
-    def column_mask(self, kind: str) -> np.ndarray:
-        return np.array([key.kind == kind for key in self.columns])
-
-    def rank(self, tol: float | None = None) -> int:
-        svals = np.linalg.svd(self.matrix, compute_uv=False)
-        cutoff = max(self.matrix.shape) * np.finfo(float).eps * svals[0] if tol is None else tol
-        return int(np.sum(svals > cutoff))
-
-    def restricted_rank(self, kind: str, tol: float | None = None) -> int:
-        sub = self.matrix[:, self.column_mask(kind)]
-        svals = np.linalg.svd(sub, compute_uv=False)
-        cutoff = max(sub.shape) * np.finfo(float).eps * svals[0] if tol is None else tol
-        return int(np.sum(svals > cutoff))
-
-
-_map_cache: dict[int, CurvatureCoefficientMap] = {}
-_map_lock = threading.Lock()
-
-
-def clear_map_cache() -> None:
-    """Drop the cached coefficient maps (used to time cold assembly)."""
-    with _map_lock:
-        _map_cache.clear()
-
-
 def curvature_coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
-    """Assemble (and verify) the parameter-to-curvature matrix for this m_bar.
+    """The verified parameter-to-curvature matrix for this m_bar.
 
-    Every column is the origin curvature of a unit coefficient direction and
-    must satisfy the defining identities; the total rank must equal dim K and
-    the holomorphic / antiholomorphic restricted ranks must equal the odd /
-    even parity dimensions.  A failure here is an internal error.
+    It is the matrix K is built from: every column satisfies the defining
+    identities, the column span is K at the closed-form dimension, and the
+    holomorphic / antiholomorphic columns span the odd / even parity parts.
+    Building the parity split checks all of it, once per size.
     """
-    with _map_lock:
-        cached = _map_cache.get(config.m_bar)
-        if cached is not None:
-            return cached
-
-        kahler_space_basis(config)  # validates m_bar and warms the K cache
-        m_bar = config.m_bar
-        keys = _column_keys(m_bar)
-        cols = np.stack(
-            [linear_curvature_at_zero(_unit_theta(m_bar, key)).flatten() for key in keys],
-            axis=1,
-        )
-        built = CurvatureCoefficientMap(config=config, matrix=cols, columns=keys)
-
-        worst = 0.0
-        for idx in range(cols.shape[1]):
-            report = classify_symmetries(Tensor4.from_flat(config, cols[:, idx]))
-            worst = max(worst, max(report.violations[n] for n in ("antisym12", "bianchi1", "kahler_last2_1h")))
-        if worst > 1e-12:
-            raise InternalCheckFailure(f"a coefficient-map column violates the identities by {worst:.3e}")
-
-        expected = kahler_space_dimension(m_bar)
-        if built.rank() != expected:
-            raise InternalCheckFailure(
-                f"coefficient map rank {built.rank()} != dim K = {expected}"
-            )
-        plus, minus = kahler_parity_subspaces(config)
-        if built.restricted_rank(HOLOMORPHIC) != minus.dim:
-            raise InternalCheckFailure("holomorphic columns do not span the odd-parity part")
-        if built.restricted_rank(ANTIHOLOMORPHIC) != plus.dim:
-            raise InternalCheckFailure("antiholomorphic columns do not span the even-parity part")
-
-        _map_cache[config.m_bar] = built
-        return built
+    kahler_parity_subspaces(config)
+    return coefficient_map(config)
 
 
 @dataclass(frozen=True)
@@ -186,6 +88,10 @@ class RealizationResult:
     verified: bool
     parity_mode: str
     report: dict[str, float]
+
+
+#: The residuals verify_realization reports, in report order.
+VERIFICATION_KEYS = ("input_in_k", "torsion", "nabla_j", "curvature_match")
 
 
 def verify_realization(tensor: Tensor4, theta: ThetaField) -> dict[str, float]:

@@ -236,6 +236,24 @@ def _max_abs(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
+def k_identity_violations(entries: np.ndarray, config: SpaceConfig) -> dict[str, float]:
+    """Max residual of each defining identity of K (K_IDENTITIES).
+
+    ``entries`` is one dense tensor or a stack of them along leading axes;
+    the maximum is taken over the whole stack.
+    """
+    return {
+        "antisym12": _max_abs(entries + np.einsum("...bacd->...abcd", entries)),
+        # A(x, y, z, w) + A(y, z, x, w) + A(z, x, y, w)
+        "bianchi1": _max_abs(
+            entries
+            + np.einsum("...bcad->...abcd", entries)
+            + np.einsum("...cabd->...abcd", entries)
+        ),
+        "kahler_last2_1h": _max_abs(entries - apply_j_slots(entries, config, (-2, -1))),
+    }
+
+
 def classify_symmetries(tensor: Tensor4, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Evaluate every supported curvature identity and report max residuals.
 
@@ -249,13 +267,7 @@ def classify_symmetries(tensor: Tensor4, tol: float = DEFAULT_TOL) -> SymmetryRe
     m = cfg.m
     jmat = standard_complex_structure(cfg).entries
 
-    violations: dict[str, float] = {}
-
-    violations["antisym12"] = _max_abs(a + np.einsum("bacd->abcd", a))
-
-    cyc1 = np.einsum("bcad->abcd", a)  # A(y, z, x, w)
-    cyc2 = np.einsum("cabd->abcd", a)  # A(z, x, y, w)
-    violations["bianchi1"] = _max_abs(a + cyc1 + cyc2)
+    violations = k_identity_violations(a, cfg)
 
     swap34 = np.einsum("abdc->abcd", a)
     rho14 = np.einsum("abca->bc", a)
@@ -281,15 +293,13 @@ def classify_symmetries(tensor: Tensor4, tol: float = DEFAULT_TOL) -> SymmetryRe
     )
     violations["gray_1g"] = _max_abs(gray)
 
-    violations["kahler_last2_1h"] = _max_abs(a - jj((2, 3)))
-
     # Operator form: R(x, y) J - J R(x, y) applied to basis vectors.
     comm = np.einsum("absd,sc->abcd", a, jmat) - np.einsum(
         "ds,abcs->abcd", jmat, a
     )
     violations["kahler_operator_1i"] = _max_abs(comm)
 
-    return SymmetryReport(tol=tol, violations=violations)
+    return SymmetryReport(tol=tol, violations={name: violations[name] for name in IDENTITY_NAMES})
 
 
 def require_in_k(tensor: Tensor4, tol: float = DEFAULT_TOL) -> SymmetryReport:

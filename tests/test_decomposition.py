@@ -11,7 +11,6 @@ from affine_kahler.decomposition import (
     bilinear_decompose,
     bilinear_subspaces,
     computed_dimension_table,
-    kahler_constraint_matrix,
     kahler_parity_subspaces,
     kahler_space_basis,
     module_dimension_table,
@@ -20,7 +19,6 @@ from affine_kahler.decomposition import (
     w_subspaces,
 )
 from affine_kahler.errors import DomainViolation
-from affine_kahler.linalg import nullspace
 from affine_kahler.sampling import random_kahler_tensor
 from affine_kahler.tensors import (
     Bilinear2,
@@ -33,6 +31,7 @@ from affine_kahler.tensors import (
     ricci_traces,
     standard_complex_structure,
 )
+from constraint_oracle import kahler_constraint_matrix, nullspace_route_spaces
 
 # Dimensions of the twelve modules, frozen from the closed forms.
 EXPECTED_W_DIMS = {
@@ -100,7 +99,17 @@ def test_every_basis_tensor_is_admissible(cfg2):
 
 def test_nullspace_dimension_from_raw_constraints(cfg3):
     # independent recomputation of dim K straight from the constraint matrix
-    assert nullspace(kahler_constraint_matrix(cfg3)).dim == 156
+    assert nullspace_route_spaces(cfg3.m_bar)[0].dim == 156
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_image_route_matches_constraint_kernel(m_bar):
+    # K, K+ and K- from the coefficient-map image against the nullspace oracle
+    cfg = SpaceConfig(m_bar)
+    image = (kahler_space_basis(cfg), *kahler_parity_subspaces(cfg))
+    for label, built, oracle in zip(("K", "K+", "K-"), image, nullspace_route_spaces(m_bar)):
+        gap = np.max(np.abs(built.basis.T @ built.basis - oracle.basis.T @ oracle.basis))
+        assert gap <= 1e-10, (label, gap)
 
 
 def test_parity_subspaces_split_k(cfg2):
@@ -276,6 +285,17 @@ def test_computed_table_matches_closed_form(cfg2):
     assert all(closed[label] == computed[label] for label in computed)
 
 
+def test_computed_table_at_m_bar_4():
+    dims = computed_dimension_table(SpaceConfig(4)).dims
+    assert dims == {
+        "K": 480, "K+": 320, "K-": 160,
+        "W1": 15, "W2": 20, "W3": 15, "W4": 12, "W5": 1, "W6": 1, "W7": 15, "W8": 15,
+        "W9": 84, "W10": 84, "W11": 90, "W12": 128,
+        "S2-": 20, "S2_0+": 15, "L2-": 12, "L2_0+": 15,
+    }
+    assert dims == module_dimension_table(4).dims
+
+
 def test_concurrent_access_initializes_once(cfg2):
     import threading
 
@@ -293,6 +313,43 @@ def test_concurrent_access_initializes_once(cfg2):
     for thread in threads:
         thread.join()
     assert all(r is results[0] for r in results)
+
+
+def test_cold_modules_and_coefficient_map_together_build_once(cfg2, monkeypatch):
+    import sys
+    import threading
+
+    from affine_kahler import decomposition
+    from affine_kahler.realization import curvature_coefficient_map
+
+    builds = {"columns": 0, "modules": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            builds[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(decomposition, "_column_keys", counted("columns", decomposition._column_keys))
+    monkeypatch.setattr(decomposition, "_build_w_subspaces", counted("modules", decomposition._build_w_subspaces))
+    decomposition.clear_caches()
+    modules, maps = [], []
+    threads = [threading.Thread(target=lambda: modules.append(w_subspaces(cfg2))) for _ in range(3)]
+    threads += [threading.Thread(target=lambda: maps.append(curvature_coefficient_map(cfg2))) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the builders as finely as possible
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(modules) == len(maps) == 3
+    assert all(r is modules[0] for r in modules)
+    assert all(r is maps[0] for r in maps)
+    assert builds == {"columns": 1, "modules": 1}
 
 
 # -- trace-map structure (rank facts) ---------------------------------------------------

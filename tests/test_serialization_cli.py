@@ -10,6 +10,7 @@ import pytest
 
 from affine_kahler.cli import main
 from affine_kahler.errors import SchemaViolation
+from affine_kahler.realization import VERIFICATION_KEYS, realize
 from affine_kahler.sampling import random_holomorphic_theta, random_kahler_tensor
 from affine_kahler.serialization import (
     read_tensor_file,
@@ -168,6 +169,10 @@ def test_cli_realize_round_trip(tmp_path, cfg2, capsys):
     assert run_cli("realize", "--input", str(source), "--out", str(theta_out), "--mode", "split") == 0
     out = capsys.readouterr().out
     assert "verified true" in out
+    # the four residual lines are the ones the realization itself reported
+    report = realize(read_tensor_file(source), mode="split").report
+    printed = [line for line in out.splitlines() if line.split()[0] in VERIFICATION_KEYS]
+    assert printed == [f"{name} {report[name]:.6e}" for name in VERIFICATION_KEYS]
     # curvature command reproduces the tensor at the origin
     back = tmp_path / "back.json"
     assert run_cli("curvature", "--theta", str(theta_out), "--point", "0,0,0,0", "--out", str(back)) == 0
