@@ -19,6 +19,7 @@ J-even symmetric and antisymmetric parts respectively.
 """
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,6 +39,9 @@ from .tensors import (
     k_identity_violations,
     kahler_form,
     require_in_k,
+    rho13_of,
+    rho14_of,
+    scalar_traces,
     standard_complex_structure,
 )
 
@@ -159,10 +163,15 @@ def _column_keys(m_bar: int) -> tuple[ColumnKey, ...]:
     return tuple(keys)
 
 
-def _unit_theta(m_bar: int, key: ColumnKey) -> ThetaField:
+def column_polynomial(m_bar: int, key: ColumnKey, value: float) -> ComplexPoly:
+    """The entry polynomial a parameter stands for: value times z_a or
+    conj(z_a), scaled by the real or the imaginary unit."""
     base = ComplexPoly.z(m_bar, key.a) if key.kind == HOLOMORPHIC else ComplexPoly.z_bar(m_bar, key.a)
-    coeff = base if key.part == "re" else base.scale(0.0, 1.0)
-    return ThetaField(m_bar, {(key.i, key.j, key.k): coeff})
+    return base.scale(value, 0.0) if key.part == "re" else base.scale(0.0, value)
+
+
+def _unit_theta(m_bar: int, key: ColumnKey) -> ThetaField:
+    return ThetaField(m_bar, {(key.i, key.j, key.k): column_polynomial(m_bar, key, 1.0)})
 
 
 @dataclass(frozen=True)
@@ -288,62 +297,28 @@ def kahler_parity_subspaces(config: SpaceConfig) -> tuple[Subspace, Subspace]:
 
 
 # ---------------------------------------------------------------------------
-# trace and symmetry maps on flattened tensors
+# linear conditions on whole basis stacks
 # ---------------------------------------------------------------------------
 
-def _rho13_flat(m: int, flat: np.ndarray) -> np.ndarray:
-    return np.einsum("abad->bd", flat.reshape(m, m, m, m)).reshape(-1)
+def _sym(arr: np.ndarray) -> np.ndarray:
+    """Symmetrization in the last two axes (up to the factor 1/2)."""
+    return arr + np.swapaxes(arr, -1, -2)
 
 
-def _rho14_flat(m: int, flat: np.ndarray) -> np.ndarray:
-    return np.einsum("abca->bc", flat.reshape(m, m, m, m)).reshape(-1)
+def _antisym(arr: np.ndarray) -> np.ndarray:
+    """Antisymmetrization in the last two axes (up to the factor 1/2)."""
+    return arr - np.swapaxes(arr, -1, -2)
 
 
-def _rho14_antisym_flat(m: int, flat: np.ndarray) -> np.ndarray:
-    rho = np.einsum("abca->bc", flat.reshape(m, m, m, m))
-    return (rho - rho.T).reshape(-1)
+def _kernel(space: Subspace, condition) -> Subspace:
+    """Kernel within ``space`` of a linear condition on stacked dense tensors.
 
-
-def _rho14_sym_flat(m: int, flat: np.ndarray) -> np.ndarray:
-    rho = np.einsum("abca->bc", flat.reshape(m, m, m, m))
-    return (rho + rho.T).reshape(-1)
-
-
-def _rho13_antisym_flat(m: int, flat: np.ndarray) -> np.ndarray:
-    rho = np.einsum("abad->bd", flat.reshape(m, m, m, m))
-    return (rho - rho.T).reshape(-1)
-
-
-def _rho13_sym_flat(m: int, flat: np.ndarray) -> np.ndarray:
-    rho = np.einsum("abad->bd", flat.reshape(m, m, m, m))
-    return (rho + rho.T).reshape(-1)
-
-
-def _swap34_plus_flat(m: int, flat: np.ndarray) -> np.ndarray:
-    arr = flat.reshape(m, m, m, m)
-    return (arr + np.einsum("abdc->abcd", arr)).reshape(-1)
-
-
-def _swap34_minus_flat(m: int, flat: np.ndarray) -> np.ndarray:
-    arr = flat.reshape(m, m, m, m)
-    return (arr - np.einsum("abdc->abcd", arr)).reshape(-1)
-
-
-def _map_on_basis(space: Subspace, fn) -> np.ndarray:
-    if space.dim == 0:
-        return np.zeros((0, 0))
-    return np.stack([fn(row) for row in space.basis], axis=1)
-
-
-def _scalar_traces_map(config: SpaceConfig, space: Subspace) -> np.ndarray:
-    m = config.m
-    jmat = standard_complex_structure(config).entries
-
-    def both(flat: np.ndarray) -> np.ndarray:
-        rho14 = np.einsum("abca->bc", flat.reshape(m, m, m, m))
-        return np.array([np.trace(rho14), np.sum(jmat * rho14)])
-
-    return _map_on_basis(space, both)
+    ``condition`` maps the (dim, m, m, m, m) stack of basis tensors to one
+    image per basis tensor along the leading axis.
+    """
+    m = math.isqrt(math.isqrt(space.ambient_dim))
+    images = condition(space.basis.reshape(space.dim, m, m, m, m))
+    return kernel_within(space, images.reshape(space.dim, -1).T, tol=_RANK_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -389,51 +364,40 @@ def w_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
 
 
 def _build_w_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
-    m = config.m
     plus, minus = kahler_parity_subspaces(config)
     spaces: dict[str, Subspace] = {}
 
+    def taus(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return scalar_traces(rho14_of(stack), config)
+
     # K- side: W12, then W2 / W4.
-    w12 = kernel_within(minus, _map_on_basis(minus, lambda f: _rho14_flat(m, f)), tol=_RANK_TOL)
+    w12 = _kernel(minus, rho14_of)
     w2w4 = complement_within(w12, minus)
     spaces["W12"] = w12
-    spaces["W2"] = kernel_within(w2w4, _map_on_basis(w2w4, lambda f: _rho14_antisym_flat(m, f)), tol=_RANK_TOL)
-    spaces["W4"] = kernel_within(w2w4, _map_on_basis(w2w4, lambda f: _rho14_sym_flat(m, f)), tol=_RANK_TOL)
+    spaces["W2"] = _kernel(w2w4, lambda t: _antisym(rho14_of(t)))
+    spaces["W4"] = _kernel(w2w4, lambda t: _sym(rho14_of(t)))
 
     # K+ side: the joint trace kernel N+ and its complement M+.
-    def rho_both(flat: np.ndarray) -> np.ndarray:
-        return np.concatenate([_rho13_flat(m, flat), _rho14_flat(m, flat)])
-
-    n_plus = kernel_within(plus, _map_on_basis(plus, rho_both), tol=_RANK_TOL)
-    spaces["W9"] = kernel_within(n_plus, _map_on_basis(n_plus, lambda f: _swap34_plus_flat(m, f)), tol=_RANK_TOL)
-    spaces["W10"] = kernel_within(n_plus, _map_on_basis(n_plus, lambda f: _swap34_minus_flat(m, f)), tol=_RANK_TOL)
+    n_plus = _kernel(plus, lambda t: np.stack([rho13_of(t), rho14_of(t)], axis=1))
+    spaces["W9"] = _kernel(n_plus, _sym)
+    spaces["W10"] = _kernel(n_plus, _antisym)
     w9w10 = orthonormalize(
         np.vstack([spaces["W9"].basis, spaces["W10"].basis]), ambient_dim=n_plus.ambient_dim
     )
     spaces["W11"] = complement_within(w9w10, n_plus)
 
     m_plus = complement_within(n_plus, plus)
-    m0 = kernel_within(m_plus, _scalar_traces_map(config, m_plus), tol=_RANK_TOL)
+    m0 = _kernel(m_plus, lambda t: np.stack(taus(t), axis=1))
     w5w6 = complement_within(m0, m_plus)
-    jmat = standard_complex_structure(config).entries
+    spaces["W5"] = _kernel(w5w6, lambda t: taus(t)[1])
+    spaces["W6"] = _kernel(w5w6, lambda t: taus(t)[0])
 
-    def tau_tilde_only(flat: np.ndarray) -> np.ndarray:
-        rho14 = np.einsum("abca->bc", flat.reshape(m, m, m, m))
-        return np.array([np.sum(jmat * rho14)])
-
-    def tau_only(flat: np.ndarray) -> np.ndarray:
-        rho14 = np.einsum("abca->bc", flat.reshape(m, m, m, m))
-        return np.array([np.trace(rho14)])
-
-    spaces["W5"] = kernel_within(w5w6, _map_on_basis(w5w6, tau_tilde_only), tol=_RANK_TOL)
-    spaces["W6"] = kernel_within(w5w6, _map_on_basis(w5w6, tau_only), tol=_RANK_TOL)
-
-    w1w3 = kernel_within(m0, _map_on_basis(m0, lambda f: _rho13_flat(m, f)), tol=_RANK_TOL)
+    w1w3 = _kernel(m0, rho13_of)
     w7w8 = complement_within(w1w3, m0)
-    spaces["W1"] = kernel_within(w1w3, _map_on_basis(w1w3, lambda f: _rho14_antisym_flat(m, f)), tol=_RANK_TOL)
-    spaces["W3"] = kernel_within(w1w3, _map_on_basis(w1w3, lambda f: _rho14_sym_flat(m, f)), tol=_RANK_TOL)
-    spaces["W7"] = kernel_within(w7w8, _map_on_basis(w7w8, lambda f: _rho13_antisym_flat(m, f)), tol=_RANK_TOL)
-    spaces["W8"] = kernel_within(w7w8, _map_on_basis(w7w8, lambda f: _rho13_sym_flat(m, f)), tol=_RANK_TOL)
+    spaces["W1"] = _kernel(w1w3, lambda t: _antisym(rho14_of(t)))
+    spaces["W3"] = _kernel(w1w3, lambda t: _sym(rho14_of(t)))
+    spaces["W7"] = _kernel(w7w8, lambda t: _antisym(rho13_of(t)))
+    spaces["W8"] = _kernel(w7w8, lambda t: _sym(rho13_of(t)))
 
     expected = w_dimension_formulas(config.m_bar)
     for label in W_LABELS:

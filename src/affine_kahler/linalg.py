@@ -114,11 +114,9 @@ def complement_within(sub: Subspace, ambient: Subspace, tol: float = 1e-9) -> Su
     """
     if sub.ambient_dim != ambient.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
-    for row in sub.basis:
-        if ambient.residual(row) > tol:
-            raise DomainViolation(
-                "complement_within: first space is not contained in the second"
-            )
+    outside = sub.basis - (sub.basis @ ambient.basis.T) @ ambient.basis
+    if np.any(np.linalg.norm(outside, axis=1) > tol):
+        raise DomainViolation("complement_within: first space is not contained in the second")
     if sub.dim == 0:
         return ambient
     deflated = ambient.basis - (ambient.basis @ sub.basis.T) @ sub.basis
@@ -158,10 +156,3 @@ def kernel_within(space: Subspace, map_on_basis: np.ndarray, tol: float | None =
         return Subspace.zero(space.ambient_dim)
     return Subspace(space.ambient_dim, coeff_kernel.basis @ space.basis)
 
-
-def map_matrix_on_basis(space: Subspace, fn) -> np.ndarray:
-    """Matrix with columns fn(basis vector), for use with kernel_within."""
-    if space.dim == 0:
-        return np.zeros((0, 0))
-    cols = [np.asarray(fn(row), dtype=float).reshape(-1) for row in space.basis]
-    return np.stack(cols, axis=1)

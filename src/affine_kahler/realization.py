@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .connections import (
+    AffineConnection,
     HolomorphyKind,
     ThetaField,
     connection_from_theta,
@@ -32,6 +33,7 @@ from .decomposition import (
     ColumnKey,
     CurvatureCoefficientMap,
     coefficient_map,
+    column_polynomial,
     kahler_parity_subspaces,
 )
 from .errors import InternalCheckFailure
@@ -60,8 +62,7 @@ def theta_from_coefficients(
     for key, value in zip(keys, coeffs):
         if value == 0.0:
             continue
-        base = ComplexPoly.z(m_bar, key.a) if key.kind == HOLOMORPHIC else ComplexPoly.z_bar(m_bar, key.a)
-        term = base.scale(value, 0.0) if key.part == "re" else base.scale(0.0, value)
+        term = column_polynomial(m_bar, key, value)
         idx = (key.i, key.j, key.k)
         entries[idx] = entries[idx] + term if idx in entries else term
     return ThetaField(m_bar, entries)
@@ -102,7 +103,10 @@ def verify_realization(tensor: Tensor4, theta: ThetaField) -> dict[str, float]:
     rebuilt connection, and the misfit of its origin curvature against the
     input.
     """
-    conn = connection_from_theta(theta)
+    return _verification(tensor, connection_from_theta(theta))
+
+
+def _verification(tensor: Tensor4, conn: AffineConnection) -> dict[str, float]:
     report = classify_symmetries(tensor)
     curv = curvature_at(conn, np.zeros(tensor.config.m))
     return {
@@ -154,7 +158,8 @@ def realize(
         )
         theta = theta_hol + theta_anti
 
-    report = verify_realization(tensor, theta)
+    conn = connection_from_theta(theta)
+    report = _verification(tensor, conn)
     scale = max(1.0, tensor.norm())
     residual = report["curvature_match"]
     verified = (
@@ -169,7 +174,6 @@ def realize(
         )
 
     rng = point_rng if point_rng is not None else np.random.default_rng(0)
-    conn = connection_from_theta(theta)
     odd_worst = even_worst = 0.0
     for _ in range(5):
         point = rng.uniform(-1.0, 1.0, size=tensor.config.m)

@@ -57,6 +57,21 @@ def _random_power_series(
     return total
 
 
+def _random_field(config: SpaceConfig, draw_entry) -> ThetaField:
+    """A coefficient field with one independent ``draw_entry()`` per entry
+    (i <= j), drawn in entry order."""
+    m_bar = config.m_bar
+    return ThetaField(
+        m_bar,
+        {
+            (i, j, k): draw_entry()
+            for i in range(1, m_bar + 1)
+            for j in range(i, m_bar + 1)
+            for k in range(1, m_bar + 1)
+        },
+    )
+
+
 def random_holomorphic_theta(
     config: SpaceConfig,
     rng: np.random.Generator,
@@ -64,15 +79,9 @@ def random_holomorphic_theta(
     include_constant: bool = True,
 ) -> ThetaField:
     """Random coefficient field whose entries are polynomials in the z lines only."""
-    m_bar = config.m_bar
-    entries = {}
-    for i in range(1, m_bar + 1):
-        for j in range(i, m_bar + 1):
-            for k in range(1, m_bar + 1):
-                entries[(i, j, k)] = _random_power_series(
-                    m_bar, rng, max_degree, conjugate=False, include_constant=include_constant
-                )
-    return ThetaField(m_bar, entries)
+    return _random_field(
+        config, lambda: _random_power_series(config.m_bar, rng, max_degree, False, include_constant)
+    )
 
 
 def random_antiholomorphic_theta(
@@ -83,29 +92,22 @@ def random_antiholomorphic_theta(
 ) -> ThetaField:
     """Random coefficient field in the conjugate lines; by default it vanishes
     at the origin."""
-    m_bar = config.m_bar
-    entries = {}
-    for i in range(1, m_bar + 1):
-        for j in range(i, m_bar + 1):
-            for k in range(1, m_bar + 1):
-                entries[(i, j, k)] = _random_power_series(
-                    m_bar, rng, max_degree, conjugate=True, include_constant=include_constant
-                )
-    return ThetaField(m_bar, entries)
+    return _random_field(
+        config, lambda: _random_power_series(config.m_bar, rng, max_degree, True, include_constant)
+    )
 
 
 def random_degree_one_theta(config: SpaceConfig, rng: np.random.Generator) -> ThetaField:
     """Random degree-1, origin-vanishing field mixing both coordinate kinds."""
     m_bar = config.m_bar
-    entries = {}
-    for i in range(1, m_bar + 1):
-        for j in range(i, m_bar + 1):
-            for k in range(1, m_bar + 1):
-                total = ComplexPoly.zero(m_bar)
-                for a in range(1, m_bar + 1):
-                    re, im = rng.standard_normal(2)
-                    total = total + ComplexPoly.z(m_bar, a).scale(re, im)
-                    re, im = rng.standard_normal(2)
-                    total = total + ComplexPoly.z_bar(m_bar, a).scale(re, im)
-                entries[(i, j, k)] = total
-    return ThetaField(m_bar, entries)
+
+    def draw_entry() -> ComplexPoly:
+        total = ComplexPoly.zero(m_bar)
+        for a in range(1, m_bar + 1):
+            re, im = rng.standard_normal(2)
+            total = total + ComplexPoly.z(m_bar, a).scale(re, im)
+            re, im = rng.standard_normal(2)
+            total = total + ComplexPoly.z_bar(m_bar, a).scale(re, im)
+        return total
+
+    return _random_field(config, draw_entry)

@@ -35,7 +35,6 @@ from .realization import (
     curvature_coefficient_map,
     realize,
     split_components,
-    verify_realization,
 )
 from .sampling import (
     random_antiholomorphic_theta,
@@ -53,10 +52,14 @@ from .serialization import (
 from .tensors import (
     SpaceConfig,
     Tensor4,
+    apply_j_slots,
     classify_symmetries,
     j_parity_residuals,
     j_parity_split,
+    rho13_of,
+    rho14_of,
     ricci_traces,
+    scalar_traces,
     standard_complex_structure,
 )
 
@@ -166,36 +169,26 @@ def _decomposition_checks(config: SpaceConfig, rng: np.random.Generator, trials:
 
     # Rank facts about the trace maps on the constructed modules.
     m = config.m
-    jmat = standard_complex_structure(config).entries
 
-    def rho14_of(flat: np.ndarray) -> np.ndarray:
-        return np.einsum("abca->bc", flat.reshape(m, m, m, m))
+    def stacked(*labels: str) -> np.ndarray:
+        return np.vstack([spaces[label].basis for label in labels]).reshape(-1, m, m, m, m)
 
-    def rho13_of(flat: np.ndarray) -> np.ndarray:
-        return np.einsum("abad->bd", flat.reshape(m, m, m, m))
-
-    w5w6 = np.vstack([spaces["W5"].basis, spaces["W6"].basis])
-    taus = np.array(
-        [[np.trace(rho14_of(row)), np.sum(jmat * rho14_of(row))] for row in w5w6]
-    )
+    taus = np.stack(scalar_traces(rho14_of(stacked("W5", "W6")), config), axis=1)
     tau_rank = int(np.linalg.matrix_rank(taus, tol=1e-8))
 
     dims = w_dimension_formulas(config.m_bar)
     bil = bilinear_subspaces(config)
 
-    def image_rank_and_residual(space, fn, target_label):
-        images = np.stack([fn(row).reshape(-1) for row in space.basis])
+    def rho14_rank_and_residual(label, target_label):
+        images = rho14_of(stacked(label)).reshape(spaces[label].dim, -1)
         rank = int(np.linalg.matrix_rank(images, tol=1e-8))
-        target = bil[target_label]
-        resid = max(target.residual(img) for img in images)
+        resid = max(bil[target_label].residual(img) for img in images)
         return rank, resid
 
-    r2, res2 = image_rank_and_residual(spaces["W2"], rho14_of, "S2-")
-    r4, res4 = image_rank_and_residual(spaces["W4"], rho14_of, "L2-")
-    m0 = np.vstack([spaces[l].basis for l in ("W1", "W3", "W7", "W8")])
-    joint = np.stack(
-        [np.concatenate([rho14_of(row).reshape(-1), rho13_of(row).reshape(-1)]) for row in m0]
-    )
+    r2, res2 = rho14_rank_and_residual("W2", "S2-")
+    r4, res4 = rho14_rank_and_residual("W4", "L2-")
+    m0 = stacked("W1", "W3", "W7", "W8")
+    joint = np.concatenate([rho14_of(m0), rho13_of(m0)], axis=1).reshape(len(m0), -1)
     joint_rank = int(np.linalg.matrix_rank(joint, tol=1e-8))
 
     return [
@@ -217,15 +210,14 @@ def _decomposition_checks(config: SpaceConfig, rng: np.random.Generator, trials:
 
 def _isomorphism_checks(config: SpaceConfig) -> list[CheckItem]:
     m = config.m
-    jmat = standard_complex_structure(config).entries
     bil = bilinear_subspaces(config)
     spaces = w_subspaces(config)
 
     lam = bil["L2_0+"]
-    images = np.stack([(row.reshape(m, m) @ jmat).reshape(-1) for row in lam.basis]) if lam.dim else np.zeros((0, m * m))
+    images = apply_j_slots(lam.basis.reshape(-1, m, m), config, (-1,)).reshape(lam.dim, -1)
     s_target = bil["S2_0+"]
-    worst_resid = max((s_target.residual(img) for img in images), default=0.0)
-    rank = int(np.linalg.matrix_rank(images, tol=1e-8)) if lam.dim else 0
+    worst_resid = max(s_target.residual(img) for img in images)
+    rank = int(np.linalg.matrix_rank(images, tol=1e-8))
     lam_checks = [
         CheckItem("iso.L2plus_to_S2plus_lands", worst_resid, 1e-9),
         CheckItem("iso.L2plus_to_S2plus_rank", float(lam.dim - rank), 0.0),
@@ -233,18 +225,9 @@ def _isomorphism_checks(config: SpaceConfig) -> list[CheckItem]:
 
     w9 = spaces["W9"]
     w10 = spaces["W10"]
-    imgs = (
-        np.stack(
-            [
-                np.einsum("abce,ed->abcd", row.reshape(m, m, m, m), jmat).reshape(-1)
-                for row in w9.basis
-            ]
-        )
-        if w9.dim
-        else np.zeros((0, m ** 4))
-    )
-    worst_w10 = max((w10.residual(img) for img in imgs), default=0.0)
-    rank9 = int(np.linalg.matrix_rank(imgs, tol=1e-8)) if w9.dim else 0
+    imgs = apply_j_slots(w9.basis.reshape(-1, m, m, m, m), config, (-1,)).reshape(w9.dim, -1)
+    worst_w10 = max(w10.residual(img) for img in imgs)
+    rank9 = int(np.linalg.matrix_rank(imgs, tol=1e-8))
     return lam_checks + [
         CheckItem("iso.W9_to_W10_lands", worst_w10, 1e-9),
         CheckItem("iso.W9_to_W10_rank", float(w9.dim - rank9), 0.0),
@@ -326,9 +309,8 @@ def _realization_checks(config: SpaceConfig, rng: np.random.Generator, trials: i
         tensor = random_kahler_tensor(config, rng)
         for mode in ("joint", "split"):
             result = realize(tensor, mode=mode)
-            report = verify_realization(tensor, result.theta)
             worst_round = max(
-                worst_round, report["curvature_match"] / max(1.0, tensor.norm())
+                worst_round, result.report["curvature_match"] / max(1.0, tensor.norm())
             )
             if mode == "split":
                 hol_part, anti_part = split_components(result)

@@ -212,23 +212,35 @@ class TraceSet:
     tau_tilde_j: float
 
 
-def ricci_traces(tensor: Tensor4) -> TraceSet:
-    """Contractions rho13(x,y) = sum_a A(v_a, x, v_a, y), rho14(x,y) = sum_a A(v_a, x, y, v_a).
+# The trace maps below take one dense tensor (or bilinear form) or a stack of
+# them along leading axes, and return one value per stacked element.
 
-    tau is the metric trace of rho14 and tau_tilde_j its trace against the
-    2-form Omega, i.e. sum_b rho14(J v_b, v_b).
-    """
-    a = tensor.entries
-    rho13 = np.einsum("abad->bd", a)
-    rho14 = np.einsum("abca->bc", a)
-    tau = float(np.trace(rho14))
-    jmat = standard_complex_structure(tensor.config).entries
-    tau_tilde = float(np.sum(jmat * rho14))
+def rho13_of(entries: np.ndarray) -> np.ndarray:
+    """rho13(x, y) = sum_a A(v_a, x, v_a, y)."""
+    return np.einsum("...abad->...bd", entries)
+
+
+def rho14_of(entries: np.ndarray) -> np.ndarray:
+    """rho14(x, y) = sum_a A(v_a, x, y, v_a)."""
+    return np.einsum("...abca->...bc", entries)
+
+
+def scalar_traces(rho14: np.ndarray, config: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, tau_tilde_j) of rho14: its metric trace and its trace against
+    the 2-form Omega, i.e. sum_b rho14(J v_b, v_b)."""
+    jmat = standard_complex_structure(config).entries
+    return np.trace(rho14, axis1=-2, axis2=-1), np.sum(jmat * rho14, axis=(-2, -1))
+
+
+def ricci_traces(tensor: Tensor4) -> TraceSet:
+    """The trace maps rho13_of, rho14_of and scalar_traces of one tensor."""
+    rho14 = rho14_of(tensor.entries)
+    tau, tau_tilde = scalar_traces(rho14, tensor.config)
     return TraceSet(
-        rho13=Bilinear2(tensor.config, rho13),
+        rho13=Bilinear2(tensor.config, rho13_of(tensor.entries)),
         rho14=Bilinear2(tensor.config, rho14),
-        tau=tau,
-        tau_tilde_j=tau_tilde,
+        tau=float(tau),
+        tau_tilde_j=float(tau_tilde),
     )
 
 
@@ -270,7 +282,7 @@ def classify_symmetries(tensor: Tensor4, tol: float = DEFAULT_TOL) -> SymmetryRe
     violations = k_identity_violations(a, cfg)
 
     swap34 = np.einsum("abdc->abcd", a)
-    rho14 = np.einsum("abca->bc", a)
+    rho14 = rho14_of(a)
     skew = rho14.T - rho14
     weyl = a + swap34 - (2.0 / m) * np.einsum("ab,cd->abcd", skew, np.eye(m))
     violations["weyl_1d"] = _max_abs(weyl)

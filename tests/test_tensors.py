@@ -14,7 +14,10 @@ from affine_kahler.tensors import (
     j_parity_split,
     kahler_form,
     metric,
+    rho13_of,
+    rho14_of,
     ricci_traces,
+    scalar_traces,
     standard_complex_structure,
 )
 
@@ -161,6 +164,31 @@ def test_zero_tensor_traces_vanish(cfg3):
     traces = ricci_traces(Tensor4.zero(cfg3))
     assert traces.tau == 0.0 and traces.tau_tilde_j == 0.0
     assert traces.rho13.norm() == 0.0 and traces.rho14.norm() == 0.0
+
+
+@pytest.mark.parametrize("m_bar", [2, 3, 4])
+def test_stacked_trace_maps_equal_ricci_traces_exactly(m_bar, rng):
+    config = SpaceConfig(m_bar)
+    m = config.m
+    scales = 10.0 ** rng.integers(-6, 7, size=(2, 3, 1, 1, 1, 1))
+    stack = rng.standard_normal((2, 3, m, m, m, m)) * scales
+    rho13, rho14 = rho13_of(stack), rho14_of(stack)
+    tau, tau_tilde = scalar_traces(rho14, config)
+    for idx in np.ndindex(2, 3):
+        traces = ricci_traces(Tensor4(config, stack[idx]))
+        assert np.array_equal(rho13[idx], traces.rho13.entries)
+        assert np.array_equal(rho14[idx], traces.rho14.entries)
+        assert tau[idx] == traces.tau
+        assert tau_tilde[idx] == traces.tau_tilde_j
+
+
+def test_trace_maps_of_empty_stack_are_empty(cfg3):
+    m = cfg3.m
+    rho14 = rho14_of(np.zeros((0, m, m, m, m)))
+    tau, tau_tilde = scalar_traces(rho14, cfg3)
+    assert rho13_of(np.zeros((0, m, m, m, m))).shape == (0, m, m)
+    assert rho14.shape == (0, m, m)
+    assert tau.shape == (0,) and tau_tilde.shape == (0,)
 
 
 def test_rho13_j_invariance_on_k(cfg2, rng):
