@@ -311,9 +311,25 @@ def linear_curvature_at_zero(theta: ThetaField) -> Tensor4:
                 grad_u[j - 1, i - 1, k - 1] = gu
                 grad_v[j - 1, i - 1, k - 1] = gv
 
+    return Tensor4(SpaceConfig(m_bar), linear_curvature_from_gradients(grad_u, grad_v))
+
+
+def linear_curvature_from_gradients(grad_u: np.ndarray, grad_v: np.ndarray) -> np.ndarray:
+    """Origin curvature of degree-1 fields from their coefficient gradients.
+
+    ``grad_u[..., i, j, k, :]`` and ``grad_v[..., i, j, k, :]`` are the
+    gradients at the origin of u_{ijk} and v_{ijk} (symmetric in i, j), with
+    any leading stack axes; the result has shape (..., m, m, m, m).
+    """
+    m_bar = grad_u.shape[-2]
+    m = 2 * m_bar
+
     # P(X)[i, j, k, l] = derivative-in-direction-i of X_{jkl}.
     def against(block: np.ndarray) -> np.ndarray:
-        return np.moveaxis(block, -1, 0)
+        return np.moveaxis(block, -1, -4)
+
+    def swap12(block: np.ndarray) -> np.ndarray:
+        return np.swapaxes(block, -4, -3)
 
     eu = against(grad_u[..., :m_bar])   # e_i u_{jkl}
     fu = against(grad_u[..., m_bar:])   # f_i u_{jkl}
@@ -321,32 +337,31 @@ def linear_curvature_at_zero(theta: ThetaField) -> Tensor4:
     fv = against(grad_v[..., m_bar:])   # f_i v_{jkl}
 
     def antis(block: np.ndarray) -> np.ndarray:
-        return block - np.einsum("jikl->ijkl", block)
+        return block - swap12(block)
 
-    e_slice = slice(0, m_bar)
-    f_slice = slice(m_bar, m)
-    out = np.zeros((m, m, m, m))
+    e = slice(0, m_bar)
+    f = slice(m_bar, m)
+    out = np.zeros(grad_u.shape[:-4] + (m, m, m, m))
 
     a_eu = antis(eu)
     a_fu = antis(fu)
     a_ev = antis(ev)
     a_fv = antis(fv)
 
-    out[e_slice, e_slice, e_slice, e_slice] = a_eu
-    out[e_slice, e_slice, f_slice, f_slice] = a_eu
-    out[f_slice, f_slice, e_slice, e_slice] = -a_fv
-    out[f_slice, f_slice, f_slice, f_slice] = -a_fv
-    out[e_slice, e_slice, e_slice, f_slice] = a_ev
-    out[e_slice, e_slice, f_slice, e_slice] = -a_ev
-    out[f_slice, f_slice, e_slice, f_slice] = a_fu
-    out[f_slice, f_slice, f_slice, e_slice] = -a_fu
+    out[..., e, e, e, e] = a_eu
+    out[..., e, e, f, f] = a_eu
+    out[..., f, f, e, e] = -a_fv
+    out[..., f, f, f, f] = -a_fv
+    out[..., e, e, e, f] = a_ev
+    out[..., e, e, f, e] = -a_ev
+    out[..., f, f, e, f] = a_fu
+    out[..., f, f, f, e] = -a_fu
 
-    mixed_ee = -ev - np.einsum("jikl->ijkl", fu)   # A(e_i, f_j, e_k, e_l)
-    mixed_ef = eu - np.einsum("jikl->ijkl", fv)    # A(e_i, f_j, e_k, f_l)
-    out[e_slice, f_slice, e_slice, e_slice] = mixed_ee
-    out[e_slice, f_slice, f_slice, f_slice] = mixed_ee
-    out[e_slice, f_slice, e_slice, f_slice] = mixed_ef
-    out[e_slice, f_slice, f_slice, e_slice] = -mixed_ef
-    out[f_slice, e_slice, :, :] = -np.einsum("ijkl->jikl", out[e_slice, f_slice, :, :])
-
-    return Tensor4(SpaceConfig(m_bar), out)
+    mixed_ee = -ev - swap12(fu)   # A(e_i, f_j, e_k, e_l)
+    mixed_ef = eu - swap12(fv)    # A(e_i, f_j, e_k, f_l)
+    out[..., e, f, e, e] = mixed_ee
+    out[..., e, f, f, f] = mixed_ee
+    out[..., e, f, e, f] = mixed_ef
+    out[..., e, f, f, e] = -mixed_ef
+    out[..., f, e, :, :] = -swap12(out[..., e, f, :, :])
+    return out

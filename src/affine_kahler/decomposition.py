@@ -1,17 +1,19 @@
 """Construction of the admissible tensor space K and its twelve-module split.
 
-K is realized concretely as the image of the degree-1 coefficient map: the
+K is realized concretely from the image of the degree-1 coefficient map: the
 origin curvatures of the unit degree-1, origin-vanishing coefficient
 directions.  The columns are assembled once per size and each must satisfy
 the three defining identities (antisymmetry in the first pair, the first
-Bianchi identity, J-invariance of the last pair); their span must have the
-closed-form dimension, and the holomorphic / antiholomorphic columns span
-the parity eigenspaces K- / K+.  The kernel of the integer constraint matrix
-of the three identities is an independent oracle for K kept in the tests.
+Bianchi identity, J-invariance of the last pair).  The holomorphic /
+antiholomorphic columns span the parity eigenspaces K- / K+, and K is the
+stack of their orthonormal bases, K = K+ (+) K-, at the closed-form
+dimension.  The kernel of the integer constraint matrix of the three
+identities is an independent oracle for K kept in the tests.
 The twelve mutually orthogonal submodules W1..W12 are carved out of K+ and
-K- by kernel and symmetry conditions on the trace maps; every dimension and
-orthogonality claim is re-verified during construction and a failure raises
-loudly instead of returning a bad basis.
+K- in coordinates on their bases, by kernel and symmetry conditions on the
+trace maps, and lifted to R^(m^4) once; every dimension and orthogonality
+claim is re-verified during construction and a failure raises loudly instead
+of returning a bad basis.
 
 Bilinear forms decompose in parallel into six pieces: symmetric/antisymmetric
 crossed with J-parity, with the metric and Kahler-form lines split off the
@@ -19,14 +21,13 @@ J-even symmetric and antisymmetric parts respectively.
 """
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .connections import ThetaField, linear_curvature_at_zero
+from .connections import linear_curvature_from_gradients
 from .errors import DomainViolation, InternalCheckFailure
 from .linalg import Subspace, _rank_threshold, complement_within, kernel_within, orthonormalize
 from .polynomials import ComplexPoly
@@ -170,10 +171,6 @@ def column_polynomial(m_bar: int, key: ColumnKey, value: float) -> ComplexPoly:
     return base.scale(value, 0.0) if key.part == "re" else base.scale(0.0, value)
 
 
-def _unit_theta(m_bar: int, key: ColumnKey) -> ThetaField:
-    return ThetaField(m_bar, {(key.i, key.j, key.k): column_polynomial(m_bar, key, 1.0)})
-
-
 @dataclass(frozen=True)
 class CurvatureCoefficientMap:
     """Linear map from degree-1 coefficient parameters to curvature at the origin."""
@@ -223,68 +220,57 @@ def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
 
     Each column is the origin curvature of a unit degree-1 coefficient
     direction and must satisfy the defining identities to 1e-12; a failure
-    is an internal error.  The span checks live in kahler_space_basis and
-    kahler_parity_subspaces.
+    is an internal error.  The span checks live in kahler_parity_subspaces
+    and kahler_space_basis.
     """
     _require_decomposable(config.m_bar)
     with _cache_lock:
         cached = _map_cache.get(config.m_bar)
         if cached is not None:
             return cached
-        keys = _column_keys(config.m_bar)
-        cols = np.stack(
-            [linear_curvature_at_zero(_unit_theta(config.m_bar, key)).flatten() for key in keys],
-            axis=1,
-        )
-        m = config.m
-        worst = max(k_identity_violations(cols.T.reshape(-1, m, m, m, m), config).values())
+        m_bar, m = config.m_bar, config.m
+        keys = _column_keys(m_bar)
+        # Only 4 m_bar distinct unit polynomials exist: one per (a, kind, part).
+        gradients: dict[tuple[int, str, str], tuple[np.ndarray, np.ndarray]] = {}
+        grad_u = np.zeros((len(keys), m_bar, m_bar, m_bar, m))
+        grad_v = np.zeros_like(grad_u)
+        for col, key in enumerate(keys):
+            unit = (key.a, key.kind, key.part)
+            if unit not in gradients:
+                poly = column_polynomial(m_bar, key, 1.0)
+                gradients[unit] = (poly.u.gradient_at_zero(), poly.v.gradient_at_zero())
+            gu, gv = gradients[unit]
+            for i, j in {(key.i, key.j), (key.j, key.i)}:
+                grad_u[col, i - 1, j - 1, key.k - 1] = gu
+                grad_v[col, i - 1, j - 1, key.k - 1] = gv
+        stack = linear_curvature_from_gradients(grad_u, grad_v)
+        worst = max(k_identity_violations(stack, config).values())
         if worst > 1e-12:
             raise InternalCheckFailure(f"a coefficient-map column violates the identities by {worst:.3e}")
+        cols = np.ascontiguousarray(stack.reshape(len(keys), -1).T)
         cols.setflags(write=False)
         built = CurvatureCoefficientMap(config=config, matrix=cols, columns=keys)
-        _map_cache[config.m_bar] = built
+        _map_cache[m_bar] = built
         return built
-
-
-def kahler_space_basis(config: SpaceConfig) -> Subspace:
-    """Orthonormal basis of K inside R^(m^4): the column span of the coefficient map.
-
-    The dimension is checked against the closed form.
-    """
-    _require_decomposable(config.m_bar)
-    with _cache_lock:
-        cached = _kahler_cache.get(config.m_bar)
-        if cached is not None:
-            return cached
-        space = orthonormalize(coefficient_map(config).matrix.T)
-        expected = kahler_space_dimension(config.m_bar)
-        if space.dim != expected:
-            raise InternalCheckFailure(
-                f"dim K = {space.dim} from the coefficient-map image, expected {expected}"
-            )
-        _kahler_cache[config.m_bar] = space
-        return space
 
 
 def kahler_parity_subspaces(config: SpaceConfig) -> tuple[Subspace, Subspace]:
     """(K+, K-): eigenspaces of full J-conjugation inside K.
 
     K- is the span of the holomorphic columns of the coefficient map and K+
-    that of the antiholomorphic ones.  Their dimensions must add up to dim K
-    and every basis row must be fixed (K+) or negated (K-) by the
-    conjugation to 1e-10, which together make them the two eigenspaces.
+    that of the antiholomorphic ones.  Every basis row must be fixed (K+) or
+    negated (K-) by the conjugation to 1e-10, and their dimensions must add
+    up to the closed-form dim K, which together make them the two
+    eigenspaces of K.
     """
     with _cache_lock:
         cached = _parity_cache.get(config.m_bar)
         if cached is not None:
             return cached
-        space = kahler_space_basis(config)
         cmap = coefficient_map(config)
         hol = cmap.column_mask(HOLOMORPHIC)
-        plus = orthonormalize(cmap.matrix[:, ~hol].T)
-        minus = orthonormalize(cmap.matrix[:, hol].T)
-        if plus.dim + minus.dim != space.dim:
-            raise InternalCheckFailure("parity eigenspaces do not fill K")
+        plus = orthonormalize(cmap.matrix[:, ~hol].T, tol=_RANK_TOL)
+        minus = orthonormalize(cmap.matrix[:, hol].T, tol=_RANK_TOL)
         m = config.m
         for label, sub, sign in (("K+", plus, 1.0), ("K-", minus, -1.0)):
             rows = sub.basis.reshape(-1, m, m, m, m)
@@ -292,8 +278,32 @@ def kahler_parity_subspaces(config: SpaceConfig) -> tuple[Subspace, Subspace]:
             gap = float(np.max(np.abs(conj - sign * rows)))
             if gap > 1e-10:
                 raise InternalCheckFailure(f"{label} basis has the wrong J-parity by {gap:.3e}")
+        expected = kahler_space_dimension(config.m_bar)
+        if plus.dim + minus.dim != expected:
+            raise InternalCheckFailure(
+                f"dim K = {plus.dim} + {minus.dim} from the coefficient-map image, expected {expected}"
+            )
         _parity_cache[config.m_bar] = (plus, minus)
         return plus, minus
+
+
+def kahler_space_basis(config: SpaceConfig) -> Subspace:
+    """Orthonormal basis of K inside R^(m^4): the K+ rows stacked over the K- rows.
+
+    The columns of the coefficient map span K and split into the
+    antiholomorphic and holomorphic ones, so K = K+ + K-; the two are
+    eigenspaces of an orthogonal involution, and Subspace re-checks that the
+    stacked rows are orthonormal.
+    """
+    _require_decomposable(config.m_bar)
+    with _cache_lock:
+        cached = _kahler_cache.get(config.m_bar)
+        if cached is not None:
+            return cached
+        plus, minus = kahler_parity_subspaces(config)
+        space = Subspace(plus.ambient_dim, np.vstack([plus.basis, minus.basis]))
+        _kahler_cache[config.m_bar] = space
+        return space
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +320,15 @@ def _antisym(arr: np.ndarray) -> np.ndarray:
     return arr - np.swapaxes(arr, -1, -2)
 
 
-def _kernel(space: Subspace, condition) -> Subspace:
+def _kernel(space: Subspace, parent_stack: np.ndarray, condition) -> Subspace:
     """Kernel within ``space`` of a linear condition on stacked dense tensors.
 
-    ``condition`` maps the (dim, m, m, m, m) stack of basis tensors to one
-    image per basis tensor along the leading axis.
+    ``space`` lives in coordinates on a parent basis whose (dim, m, m, m, m)
+    tensor stack is ``parent_stack``; ``condition`` maps the stack of the
+    basis tensors of ``space`` to one image per tensor along the leading
+    axis.  The kernel is again in parent coordinates.
     """
-    m = math.isqrt(math.isqrt(space.ambient_dim))
-    images = condition(space.basis.reshape(space.dim, m, m, m, m))
+    images = condition(np.tensordot(space.basis, parent_stack, axes=1))
     return kernel_within(space, images.reshape(space.dim, -1).T, tol=_RANK_TOL)
 
 
@@ -364,50 +375,62 @@ def w_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
 
 
 def _build_w_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
+    # Every module is carved in coordinates on the K- or K+ basis and lifted
+    # to R^(m^4) once, at the end.
+    m = config.m
     plus, minus = kahler_parity_subspaces(config)
-    spaces: dict[str, Subspace] = {}
+    plus_stack = plus.basis.reshape(-1, m, m, m, m)
+    minus_stack = minus.basis.reshape(-1, m, m, m, m)
+    coords: dict[str, Subspace] = {}
 
     def taus(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return scalar_traces(rho14_of(stack), config)
 
     # K- side: W12, then W2 / W4.
-    w12 = _kernel(minus, rho14_of)
-    w2w4 = complement_within(w12, minus)
-    spaces["W12"] = w12
-    spaces["W2"] = _kernel(w2w4, lambda t: _antisym(rho14_of(t)))
-    spaces["W4"] = _kernel(w2w4, lambda t: _sym(rho14_of(t)))
+    whole_minus = Subspace(minus.dim, np.eye(minus.dim))
+    w12 = _kernel(whole_minus, minus_stack, rho14_of)
+    w2w4 = complement_within(w12, whole_minus)
+    coords["W12"] = w12
+    coords["W2"] = _kernel(w2w4, minus_stack, lambda t: _antisym(rho14_of(t)))
+    coords["W4"] = _kernel(w2w4, minus_stack, lambda t: _sym(rho14_of(t)))
 
     # K+ side: the joint trace kernel N+ and its complement M+.
-    n_plus = _kernel(plus, lambda t: np.stack([rho13_of(t), rho14_of(t)], axis=1))
-    spaces["W9"] = _kernel(n_plus, _sym)
-    spaces["W10"] = _kernel(n_plus, _antisym)
+    whole_plus = Subspace(plus.dim, np.eye(plus.dim))
+    n_plus = _kernel(whole_plus, plus_stack, lambda t: np.stack([rho13_of(t), rho14_of(t)], axis=1))
+    coords["W9"] = _kernel(n_plus, plus_stack, _sym)
+    coords["W10"] = _kernel(n_plus, plus_stack, _antisym)
     w9w10 = orthonormalize(
-        np.vstack([spaces["W9"].basis, spaces["W10"].basis]), ambient_dim=n_plus.ambient_dim
+        np.vstack([coords["W9"].basis, coords["W10"].basis]), ambient_dim=plus.dim
     )
-    spaces["W11"] = complement_within(w9w10, n_plus)
+    coords["W11"] = complement_within(w9w10, n_plus)
 
-    m_plus = complement_within(n_plus, plus)
-    m0 = _kernel(m_plus, lambda t: np.stack(taus(t), axis=1))
+    m_plus = complement_within(n_plus, whole_plus)
+    m0 = _kernel(m_plus, plus_stack, lambda t: np.stack(taus(t), axis=1))
     w5w6 = complement_within(m0, m_plus)
-    spaces["W5"] = _kernel(w5w6, lambda t: taus(t)[1])
-    spaces["W6"] = _kernel(w5w6, lambda t: taus(t)[0])
+    coords["W5"] = _kernel(w5w6, plus_stack, lambda t: taus(t)[1])
+    coords["W6"] = _kernel(w5w6, plus_stack, lambda t: taus(t)[0])
 
-    w1w3 = _kernel(m0, rho13_of)
+    w1w3 = _kernel(m0, plus_stack, rho13_of)
     w7w8 = complement_within(w1w3, m0)
-    spaces["W1"] = _kernel(w1w3, lambda t: _antisym(rho14_of(t)))
-    spaces["W3"] = _kernel(w1w3, lambda t: _sym(rho14_of(t)))
-    spaces["W7"] = _kernel(w7w8, lambda t: _antisym(rho13_of(t)))
-    spaces["W8"] = _kernel(w7w8, lambda t: _sym(rho13_of(t)))
+    coords["W1"] = _kernel(w1w3, plus_stack, lambda t: _antisym(rho14_of(t)))
+    coords["W3"] = _kernel(w1w3, plus_stack, lambda t: _sym(rho14_of(t)))
+    coords["W7"] = _kernel(w7w8, plus_stack, lambda t: _antisym(rho13_of(t)))
+    coords["W8"] = _kernel(w7w8, plus_stack, lambda t: _sym(rho13_of(t)))
 
     expected = w_dimension_formulas(config.m_bar)
     for label in W_LABELS:
-        if spaces[label].dim != expected[label]:
+        if coords[label].dim != expected[label]:
             raise InternalCheckFailure(
-                f"{label} has dimension {spaces[label].dim}, expected {expected[label]}"
+                f"{label} has dimension {coords[label].dim}, expected {expected[label]}"
             )
-    _check_pairwise_orthogonal(spaces, tol=1e-10)
-
-    ordered = {label: spaces[label] for label in W_LABELS}
+    ordered = {
+        label: Subspace(
+            plus.ambient_dim,
+            coords[label].basis @ (minus if label in ("W2", "W4", "W12") else plus).basis,
+        )
+        for label in W_LABELS
+    }
+    _check_pairwise_orthogonal(ordered, tol=1e-10)
     _w_cache[config.m_bar] = ordered
     return ordered
 
@@ -524,7 +547,7 @@ def bilinear_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
                 for label, part in split.parts().items():
                     collected[label].append(part.entries.reshape(-1))
         out = {
-            label: orthonormalize(np.stack(rows), ambient_dim=m * m)
+            label: orthonormalize(np.stack(rows), tol=_RANK_TOL, ambient_dim=m * m)
             for label, rows in collected.items()
         }
         total = sum(space.dim for space in out.values())

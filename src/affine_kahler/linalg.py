@@ -83,10 +83,12 @@ def orthonormalize(vectors, tol: float | None = None, ambient_dim: int | None = 
         if ambient_dim is None:
             raise ValueError("ambient_dim is required for empty input")
         return Subspace.zero(ambient_dim)
-    _, svals, vt = np.linalg.svd(mat, full_matrices=False)
+    # The left factor of the transpose is the right factor of mat; the thin
+    # SVD of the tall transpose is the cheaper one for wide inputs.
+    u, svals, _ = np.linalg.svd(mat.T, full_matrices=False)
     cutoff = _rank_threshold(svals, mat.shape, tol)
     rank = int(np.sum(svals > cutoff))
-    return Subspace(mat.shape[1], vt[:rank])
+    return Subspace(mat.shape[1], u[:, :rank].T)
 
 
 def nullspace(mat: np.ndarray, tol: float | None = None) -> Subspace:
@@ -133,11 +135,16 @@ def least_squares_solve(mat: np.ndarray, target: np.ndarray) -> tuple[np.ndarray
     """Minimum-norm least-squares solution of mat @ coeffs ~ target.
 
     Deterministic for fixed input; the returned residual is the achieved
-    Euclidean misfit, recomputed explicitly.
+    Euclidean misfit, recomputed explicitly.  A solution that overflows
+    (possible when the matrix is subnormal) raises DomainViolation.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     target = np.asarray(target, dtype=float)
     coeffs, _, _, _ = np.linalg.lstsq(mat, target, rcond=None)
+    if not np.all(np.isfinite(coeffs)):
+        raise DomainViolation(
+            "least_squares_solve: the minimum-norm solution is not representable in floating point"
+        )
     residual = float(np.linalg.norm(mat @ coeffs - target))
     return coeffs, residual
 

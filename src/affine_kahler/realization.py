@@ -6,10 +6,10 @@ complex coordinate line a, a holomorphic direction c * z_a and an
 antiholomorphic direction c * conj(z_a), each with a real and an imaginary
 unit coefficient.  Curvature at the origin is linear in these parameters, so
 realization reduces to a (minimum-norm) least-squares solve against the
-assembled column matrix.  The column span equals the whole admissible space,
-and the holomorphic / antiholomorphic column subsets span exactly the odd /
-even J-parity parts: the decomposition layer builds K, K- and K+ as exactly
-these spans and verifies both facts once per size.
+assembled column matrix.  The holomorphic / antiholomorphic column subsets
+span exactly the odd / even J-parity parts, and together the whole admissible
+space: the decomposition layer builds K- and K+ as these spans and K as the
+stack of their orthonormal bases, and verifies this once per size.
 """
 from __future__ import annotations
 

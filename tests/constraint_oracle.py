@@ -1,19 +1,25 @@
-"""The nullspace route to K, kept as an independent oracle for the tests.
+"""The nullspace route to K and the ambient route to W1..W12, kept as
+independent oracles for the tests.
 
-The program builds K as the image of the degree-1 coefficient map.  Here K
+The program builds K from the image of the degree-1 coefficient map.  Here K
 is the kernel of the integer constraint matrix of the three defining
 identities (antisymmetry in the first pair, the first Bianchi identity,
 J-invariance of the last pair), and K+ / K- come from symmetrizing its basis
-under full J-conjugation.  Dense and O(m^8) in memory: m_bar <= 3 only.
+under full J-conjugation.  The program carves W1..W12 in coordinates on the
+K+ / K- bases; here every kernel and complement is taken directly in
+R^(m^4), starting from the nullspace-route K+ / K-.  Dense and O(m^8) in
+memory: m_bar <= 3 only.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from affine_kahler.linalg import Subspace, nullspace, orthonormalize
-from affine_kahler.tensors import SpaceConfig, apply_j_slots
+from affine_kahler.decomposition import _RANK_TOL, W_LABELS
+from affine_kahler.linalg import Subspace, complement_within, kernel_within, nullspace, orthonormalize
+from affine_kahler.tensors import SpaceConfig, apply_j_slots, rho13_of, rho14_of, scalar_traces
 
 
 def _slot_permutation_matrix(m: int, perm_of_slots) -> np.ndarray:
@@ -61,3 +67,57 @@ def nullspace_route_spaces(m_bar: int) -> tuple[Subspace, Subspace, Subspace]:
     plus = orthonormalize((space.basis + conj) / 2.0, ambient_dim=space.ambient_dim)
     minus = orthonormalize((space.basis - conj) / 2.0, ambient_dim=space.ambient_dim)
     return space, plus, minus
+
+
+def _kernel(space: Subspace, condition) -> Subspace:
+    """Kernel within ``space`` of a linear condition on its dense basis tensors."""
+    m = math.isqrt(math.isqrt(space.ambient_dim))
+    images = condition(space.basis.reshape(space.dim, m, m, m, m))
+    return kernel_within(space, images.reshape(space.dim, -1).T, tol=_RANK_TOL)
+
+
+def _sym(arr: np.ndarray) -> np.ndarray:
+    return arr + np.swapaxes(arr, -1, -2)
+
+
+def _antisym(arr: np.ndarray) -> np.ndarray:
+    return arr - np.swapaxes(arr, -1, -2)
+
+
+@lru_cache(maxsize=None)
+def ambient_w_subspaces(m_bar: int) -> dict[str, Subspace]:
+    """W1..W12 carved directly in R^(m^4) out of the nullspace-route K+ / K-."""
+    config = SpaceConfig(m_bar)
+    _, plus, minus = nullspace_route_spaces(m_bar)
+    spaces: dict[str, Subspace] = {}
+
+    def taus(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return scalar_traces(rho14_of(stack), config)
+
+    w12 = _kernel(minus, rho14_of)
+    w2w4 = complement_within(w12, minus)
+    spaces["W12"] = w12
+    spaces["W2"] = _kernel(w2w4, lambda t: _antisym(rho14_of(t)))
+    spaces["W4"] = _kernel(w2w4, lambda t: _sym(rho14_of(t)))
+
+    n_plus = _kernel(plus, lambda t: np.stack([rho13_of(t), rho14_of(t)], axis=1))
+    spaces["W9"] = _kernel(n_plus, _sym)
+    spaces["W10"] = _kernel(n_plus, _antisym)
+    w9w10 = orthonormalize(
+        np.vstack([spaces["W9"].basis, spaces["W10"].basis]), ambient_dim=n_plus.ambient_dim
+    )
+    spaces["W11"] = complement_within(w9w10, n_plus)
+
+    m_plus = complement_within(n_plus, plus)
+    m0 = _kernel(m_plus, lambda t: np.stack(taus(t), axis=1))
+    w5w6 = complement_within(m0, m_plus)
+    spaces["W5"] = _kernel(w5w6, lambda t: taus(t)[1])
+    spaces["W6"] = _kernel(w5w6, lambda t: taus(t)[0])
+
+    w1w3 = _kernel(m0, rho13_of)
+    w7w8 = complement_within(w1w3, m0)
+    spaces["W1"] = _kernel(w1w3, lambda t: _antisym(rho14_of(t)))
+    spaces["W3"] = _kernel(w1w3, lambda t: _sym(rho14_of(t)))
+    spaces["W7"] = _kernel(w7w8, lambda t: _antisym(rho13_of(t)))
+    spaces["W8"] = _kernel(w7w8, lambda t: _sym(rho13_of(t)))
+    return {label: spaces[label] for label in W_LABELS}

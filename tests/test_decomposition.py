@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from affine_kahler.connections import ThetaField, linear_curvature_at_zero
 from affine_kahler.decomposition import (
     W_LABELS,
+    ColumnKey,
     bilinear_decompose,
     bilinear_subspaces,
+    clear_caches,
+    coefficient_map,
+    column_polynomial,
     computed_dimension_table,
     kahler_parity_subspaces,
     kahler_space_basis,
@@ -19,6 +24,7 @@ from affine_kahler.decomposition import (
     w_subspaces,
 )
 from affine_kahler.errors import DomainViolation
+from affine_kahler.linalg import orthonormalize
 from affine_kahler.sampling import random_kahler_tensor
 from affine_kahler.tensors import (
     Bilinear2,
@@ -31,7 +37,7 @@ from affine_kahler.tensors import (
     ricci_traces,
     standard_complex_structure,
 )
-from constraint_oracle import kahler_constraint_matrix, nullspace_route_spaces
+from constraint_oracle import ambient_w_subspaces, kahler_constraint_matrix, nullspace_route_spaces
 
 # Dimensions of the twelve modules, frozen from the closed forms.
 EXPECTED_W_DIMS = {
@@ -110,6 +116,74 @@ def test_image_route_matches_constraint_kernel(m_bar):
     for label, built, oracle in zip(("K", "K+", "K-"), image, nullspace_route_spaces(m_bar)):
         gap = np.max(np.abs(built.basis.T @ built.basis - oracle.basis.T @ oracle.basis))
         assert gap <= 1e-10, (label, gap)
+
+
+def _unit_theta(m_bar: int, key: ColumnKey) -> ThetaField:
+    return ThetaField(m_bar, {(key.i, key.j, key.k): column_polynomial(m_bar, key, 1.0)})
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_batched_coefficient_map_equals_per_key_columns(m_bar):
+    # one batched gradient stack against one linear_curvature_at_zero per key
+    cmap = coefficient_map(SpaceConfig(m_bar))
+    cols = np.stack(
+        [linear_curvature_at_zero(_unit_theta(m_bar, key)).flatten() for key in cmap.columns], axis=1
+    )
+    assert np.array_equal(cmap.matrix, cols)
+
+
+def _projector_gap(a, b) -> float:
+    """Upper bound on max |P_a - P_b| for orthonormal-row subspaces.
+
+    For equal dimensions ||P_a - P_b||_2 = ||(I - P_b) A^T||_2, which the
+    Frobenius norm bounds; no m^4 x m^4 projector is formed.
+    """
+    if a.dim != b.dim:
+        return np.inf
+    return float(np.linalg.norm(a.basis - (a.basis @ b.basis.T) @ b.basis))
+
+
+@pytest.mark.parametrize("m_bar", [2, 3, 4])
+def test_stacked_parity_bases_span_all_columns(m_bar):
+    # K = K+ (+) K- against the span of every coefficient-map column
+    cfg = SpaceConfig(m_bar)
+    every_column = orthonormalize(coefficient_map(cfg).matrix.T)
+    assert _projector_gap(kahler_space_basis(cfg), every_column) <= 1e-10
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_coordinate_modules_match_ambient_oracle(m_bar):
+    built = w_subspaces(SpaceConfig(m_bar))
+    oracle = ambient_w_subspaces(m_bar)
+    for label in W_LABELS:
+        ours, theirs = built[label].basis, oracle[label].basis
+        gap = np.max(np.abs(ours.T @ ours - theirs.T @ theirs))
+        assert gap <= 1e-10, (label, gap)
+
+
+def test_rank_decisions_keep_wide_margins(monkeypatch):
+    # every singular-value decision of the cold build at m_bar = 2, 3, 4
+    from affine_kahler import linalg
+
+    threshold = linalg._rank_threshold
+    decisions = []
+
+    def recorded(singular_values, shape, tol):
+        cutoff = threshold(singular_values, shape, tol)
+        decisions.append((np.array(singular_values), cutoff))
+        return cutoff
+
+    monkeypatch.setattr(linalg, "_rank_threshold", recorded)
+    clear_caches()
+    for m_bar in (2, 3, 4):
+        computed_dimension_table(SpaceConfig(m_bar))
+    assert decisions
+    for svals, cutoff in decisions:
+        kept, dropped = svals[svals > cutoff], svals[svals <= cutoff]
+        if kept.size:
+            assert kept.min() >= 1e3 * cutoff
+        if dropped.size:
+            assert dropped.max() <= 1e-3 * cutoff
 
 
 def test_parity_subspaces_split_k(cfg2):

@@ -104,6 +104,12 @@ def test_least_squares_identity_and_zero_map():
     assert residual == pytest.approx(np.linalg.norm(target))
 
 
+def test_least_squares_rejects_unrepresentable_solution():
+    mat = np.diag([1e-310, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(DomainViolation, match="not representable"):
+        least_squares_solve(mat, np.ones(5))
+
+
 def test_least_squares_consistent_system(rng):
     mat = rng.standard_normal((20, 7))
     truth = rng.standard_normal(7)
@@ -178,9 +184,20 @@ def test_nullspace_plus_rank_fills_columns(mat):
     ),
     target=np.array([3.51, 4.48, -1.28, -1.61, -3.22]),
 )
+# Subnormal largest singular value: the minimum-norm solution overflows.
+@example(
+    mat=np.diag([1e-310, 0.0, 0.0, 0.0, 0.0]),
+    target=np.array([1.0, -2.0, 0.5, 3.0, -1.5]),
+)
 @settings(max_examples=100, deadline=None)
 def test_least_squares_never_beats_residual(mat, target):
-    coeffs, residual = least_squares_solve(mat, target)
+    try:
+        coeffs, residual = least_squares_solve(mat, target)
+    except DomainViolation:
+        # refused only when the plain solve is not finite either
+        plain, *_ = np.linalg.lstsq(mat, target, rcond=None)
+        assert not np.all(np.isfinite(plain))
+        return
     # any perturbation of the solution does not reduce the misfit beyond
     # rounding: the solve is backward stable (exact for some mat + E with
     # |E| ~ eps |mat|), so each residual can be off by a small multiple of
