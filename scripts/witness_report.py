@@ -24,10 +24,9 @@ def main() -> int:
             rho = ",".join(_fmt(r) for r in case.rho) or "-"
             print(f"-- case {case.case_id} (rho = {rho})")
             for check in case.checks:
-                expected = check.expected if isinstance(check.expected, str) else _fmt(check.expected)
                 status = "OK" if check.ok else "FAIL"
                 failures += not check.ok
-                print(f"   {check.name:<28} {expected:>8} {_fmt(check.computed):>24} {status}")
+                print(f"   {check.name:<28} {_fmt(check.expected):>8} {_fmt(check.computed):>24} {status}")
     print(f"\n{failures} failures")
     return 1 if failures else 0
 

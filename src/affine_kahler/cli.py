@@ -171,8 +171,7 @@ def _cmd_paper_examples(args) -> int:
             return EXIT_USAGE
     case = run_witness_case(args.case, rho=rho, m_bar=args.mbar)
     for check in case.checks:
-        expected = check.expected if isinstance(check.expected, str) else _fmt(check.expected)
-        print(f"{check.name} {expected} {_fmt(check.computed)} {'OK' if check.ok else 'FAIL'}")
+        print(f"{check.name} {_fmt(check.expected)} {_fmt(check.computed)} {'OK' if check.ok else 'FAIL'}")
     passed = sum(check.ok for check in case.checks)
     print(f"{passed}/{len(case.checks)} checks passed")
     _write_report(

@@ -182,16 +182,16 @@ class CurvatureCoefficientMap:
     def column_mask(self, kind: str) -> np.ndarray:
         return np.array([key.kind == kind for key in self.columns])
 
-    def rank(self, tol: float | None = None) -> int:
-        return _matrix_rank(self.matrix, tol)
+    def rank(self) -> int:
+        return _matrix_rank(self.matrix)
 
-    def restricted_rank(self, kind: str, tol: float | None = None) -> int:
-        return _matrix_rank(self.matrix[:, self.column_mask(kind)], tol)
+    def restricted_rank(self, kind: str) -> int:
+        return _matrix_rank(self.matrix[:, self.column_mask(kind)])
 
 
-def _matrix_rank(mat: np.ndarray, tol: float | None) -> int:
+def _matrix_rank(mat: np.ndarray) -> int:
     svals = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(svals > _rank_threshold(svals, mat.shape, tol)))
+    return int(np.sum(svals > _rank_threshold(svals, mat.shape, None)))
 
 
 _map_cache: dict[int, CurvatureCoefficientMap] = {}

@@ -68,9 +68,6 @@ class Subspace:
         """Norm of the component of vec orthogonal to the subspace."""
         return float(np.linalg.norm(vec - self.project(vec)))
 
-    def contains(self, vec: np.ndarray, tol: float = 1e-9) -> bool:
-        return self.residual(vec) <= tol * max(1.0, float(np.linalg.norm(vec)))
-
 
 def orthonormalize(vectors, tol: float | None = None, ambient_dim: int | None = None) -> Subspace:
     """Orthonormal basis of the span of the given vectors.

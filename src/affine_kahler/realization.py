@@ -213,11 +213,10 @@ def split_components(result: RealizationResult) -> tuple[ThetaField, ThetaField]
     for key, poly in result.theta.entries.items():
         hol = ComplexPoly.zero(m_bar)
         anti = ComplexPoly.zero(m_bar)
+        gu, gv = poly.u.gradient_at_zero(), poly.v.gradient_at_zero()
         for a in range(1, m_bar + 1):
-            ux = poly.u.coeffs.get(_unit_powers(m_bar, a - 1), 0.0)
-            uy = poly.u.coeffs.get(_unit_powers(m_bar, m_bar + a - 1), 0.0)
-            vx = poly.v.coeffs.get(_unit_powers(m_bar, a - 1), 0.0)
-            vy = poly.v.coeffs.get(_unit_powers(m_bar, m_bar + a - 1), 0.0)
+            ux, uy = gu[a - 1], gu[m_bar + a - 1]
+            vx, vy = gv[a - 1], gv[m_bar + a - 1]
             # c*z_a has (ux, uy, vx, vy) = (re, -im, im, re);
             # c*conj(z_a) has (re, im, im, -re).
             hol_re = (ux + vy) / 2.0
@@ -231,9 +230,3 @@ def split_components(result: RealizationResult) -> tuple[ThetaField, ThetaField]
         if not anti.is_zero():
             anti_entries[key] = anti
     return ThetaField(m_bar, hol_entries), ThetaField(m_bar, anti_entries)
-
-
-def _unit_powers(m_bar: int, index: int) -> tuple[int, ...]:
-    powers = [0] * (2 * m_bar)
-    powers[index] = 1
-    return tuple(powers)

@@ -218,9 +218,10 @@ def _isomorphism_checks(config: SpaceConfig) -> list[CheckItem]:
     s_target = bil["S2_0+"]
     worst_resid = max(s_target.residual(img) for img in images)
     rank = int(np.linalg.matrix_rank(images, tol=1e-8))
+    # A bijection: full rank on the source, and source and target of equal dimension.
     lam_checks = [
         CheckItem("iso.L2plus_to_S2plus_lands", worst_resid, 1e-9),
-        CheckItem("iso.L2plus_to_S2plus_rank", float(lam.dim - rank), 0.0),
+        CheckItem("iso.L2plus_to_S2plus_rank", float(max(lam.dim - rank, abs(s_target.dim - lam.dim))), 0.0),
     ]
 
     w9 = spaces["W9"]
@@ -230,7 +231,7 @@ def _isomorphism_checks(config: SpaceConfig) -> list[CheckItem]:
     rank9 = int(np.linalg.matrix_rank(imgs, tol=1e-8))
     return lam_checks + [
         CheckItem("iso.W9_to_W10_lands", worst_w10, 1e-9),
-        CheckItem("iso.W9_to_W10_rank", float(w9.dim - rank9), 0.0),
+        CheckItem("iso.W9_to_W10_rank", float(max(w9.dim - rank9, abs(w10.dim - w9.dim))), 0.0),
     ]
 
 

@@ -128,10 +128,6 @@ class Bilinear2:
             self, "entries", _frozen_array(self.entries, (m, m), "Bilinear2")
         )
 
-    @classmethod
-    def zero(cls, config: SpaceConfig) -> "Bilinear2":
-        return cls(config, np.zeros((config.m, config.m)))
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.entries))
 

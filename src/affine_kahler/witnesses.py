@@ -1,18 +1,20 @@
 """Catalog of closed-form witness constructions and their expected value tables.
 
-Each case builds a specific small coefficient field, evaluates its curvature
-at the origin and compares connection coefficients, curvature entries, trace
-tables and module placements against the known closed forms.  Value checks
-are exact: every expected number is a small dyadic rational, so double
-arithmetic reproduces it with error exactly zero.  Membership checks
-(projection norms) carry tiny tolerances instead.
+Each case is data built from its parameters rho: a coefficient field, given as
+(entry, z | zbar, line, re, im) terms, and an ordered list of table rows.  One
+runner builds the field, its connection and its curvature at the origin once,
+then checks every row against the closed forms: connection coefficients,
+curvature entries, trace tables and module placements.  Value checks are
+exact: every expected number is a small dyadic rational, so double arithmetic
+reproduces it with error exactly zero.  Membership checks (projection norms)
+carry tiny tolerances instead.
 
 Case identifiers are stable strings used by the command line:
 4.1.1, 4.1.2, 4.1.3a, 4.1.3b, 4.2.w9w10, 4.2.w12, 4.2.w11.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -26,7 +28,7 @@ from .connections import (
 from .decomposition import W_LABELS, bilinear_decompose, w_project
 from .errors import DomainViolation
 from .polynomials import ComplexPoly, PolyScalar
-from .tensors import Bilinear2, Tensor4, j_parity_residuals, ricci_traces
+from .tensors import Bilinear2, Tensor4, TraceSet, j_parity_residuals, ricci_traces
 
 #: Tolerance for projection-norm (membership) checks; value checks are exact.
 MEMBERSHIP_TOL = 1e-9
@@ -64,23 +66,46 @@ class WitnessCase:
 
 
 def _idx(label: str, m_bar: int) -> int:
+    """Position of a basis label (e1.., f1..) or a coordinate label (x1.., y1..)."""
     block, num = label[0], int(label[1:])
     if not 1 <= num <= m_bar:
-        raise DomainViolation(f"basis label {label} needs m_bar >= {num}")
-    return num - 1 if block == "e" else m_bar + num - 1
+        raise DomainViolation(f"label {label} needs m_bar >= {num}")
+    return num - 1 if block in "ex" else m_bar + num - 1
 
 
-def _var_index(label: str, m_bar: int) -> int:
-    block, num = label[0], int(label[1:])
-    return num - 1 if block == "x" else m_bar + num - 1
+def _field(m_bar: int, terms: list[tuple]) -> ThetaField:
+    """Sum of (entry, "z" | "zbar", line, re, im) terms: (re + i im) z_line or its conjugate."""
+    entries: dict[tuple[int, int, int], ComplexPoly] = {}
+    for key, kind, line, re, im in terms:
+        coord = ComplexPoly.z(m_bar, line) if kind == "z" else ComplexPoly.z_bar(m_bar, line)
+        term = coord.scale(re, im)
+        entries[key] = entries[key] + term if key in entries else term
+    return ThetaField(m_bar, entries)
 
 
-def _poly(m_bar: int, terms: list[tuple[float, str]]) -> PolyScalar:
-    out = PolyScalar.zero(m_bar)
-    for coeff, var in terms:
-        out = out + PolyScalar.variable(m_bar, _var_index(var, m_bar), coeff)
-    return out
+@dataclass(frozen=True)
+class _Origin:
+    """A field with its connection, its curvature at the origin and that tensor's traces."""
 
+    theta: ThetaField
+    conn: AffineConnection
+    A: Tensor4
+    traces: TraceSet
+
+    @property
+    def m_bar(self) -> int:
+        return self.theta.m_bar
+
+
+def _at_origin(theta: ThetaField) -> _Origin:
+    conn = connection_from_theta(theta)
+    A = curvature_at(conn, np.zeros(2 * theta.m_bar))
+    return _Origin(theta, conn, A, ricci_traces(A))
+
+
+# ---------------------------------------------------------------------------
+# row checks
+# ---------------------------------------------------------------------------
 
 def _entry_checks(A: Tensor4, m_bar: int, items: list[tuple[str, float]]) -> list[WitnessCheck]:
     checks = []
@@ -115,7 +140,7 @@ def _gamma_display_check(
         a, b = _idx(la, m_bar), _idx(lb, m_bar)
         for lc, coeff, var in column:
             c = _idx(lc, m_bar)
-            term = PolyScalar.variable(m_bar, _var_index(var, m_bar), coeff)
+            term = PolyScalar.variable(m_bar, _idx(var, m_bar), coeff)
             key = (a, b, c)
             expected[key] = expected[key] + term if key in expected else term
     worst = 0.0
@@ -166,55 +191,114 @@ def _module_placement_checks(
     return checks
 
 
-def _origin_curvature(theta: ThetaField) -> Tensor4:
-    return curvature_at(connection_from_theta(theta), np.zeros(2 * theta.m_bar))
+def _swap_labels_12(spec: str) -> str:
+    return spec.translate(str.maketrans({"1": "2", "2": "1"}))
 
 
-# ---------------------------------------------------------------------------
-# case builders
-# ---------------------------------------------------------------------------
+def _pair_checks(
+    origin: _Origin,
+    sign: int,
+    target: str,
+    table: list[tuple[str, float]],
+    rho14_first: list[tuple[str, str, float]],
+    rho14_second: list[tuple[str, str, float]],
+) -> list[WitnessCheck]:
+    """A tensor and its relabelling under z1 <-> z2, combined into one module.
 
-def _theta_4_1_1(m_bar: int, rho: tuple[float, ...]) -> ThetaField:
-    r1, r2 = rho
-    return ThetaField(
-        m_bar,
-        {
-            (1, 1, 1): ComplexPoly.z_bar(m_bar, 1).scale(r1),
-            (1, 2, 2): ComplexPoly.z_bar(m_bar, 1).scale(0.0, r2),
-        },
+    With sign -1 both tensors (A1, A2) are antisymmetric in the last pair with
+    rho13 = -rho14, and A1 - A2 lies in the target; with sign +1 both (A3, A4)
+    are symmetric in the last pair with rho13 = rho14, and A3 + A4 lies in it.
+    The second tensor's entry table is the first's with labels 1 <-> 2.
+    """
+    first, second, pair_law, trace_law, combine = (
+        ("A1", "A2", "antisym34", "rho13_plus_rho14", "minus")
+        if sign < 0
+        else ("A3", "A4", "sym34", "rho13_minus_rho14", "plus")
     )
-
-
-def _run_4_1_1(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
-    r1, r2 = rho
-    theta = _theta_4_1_1(m_bar, rho)
-    conn = connection_from_theta(theta)
-    A = _origin_curvature(theta)
-    traces = ricci_traces(A)
-    checks = [
-        _gamma_display_check(
-            conn,
-            m_bar,
-            {
-                ("e1", "e1"): [("e1", r1, "x1"), ("f1", -r1, "y1")],
-                ("f1", "f1"): [("e1", -r1, "x1"), ("f1", r1, "y1")],
-                ("e1", "f1"): [("e1", r1, "y1"), ("f1", r1, "x1")],
-                ("f1", "e1"): [("e1", r1, "y1"), ("f1", r1, "x1")],
-                ("e1", "e2"): [("e2", r2, "y1"), ("f2", r2, "x1")],
-                ("e2", "e1"): [("e2", r2, "y1"), ("f2", r2, "x1")],
-                ("f1", "f2"): [("e2", -r2, "y1"), ("f2", -r2, "x1")],
-                ("f2", "f1"): [("e2", -r2, "y1"), ("f2", -r2, "x1")],
-                ("e1", "f2"): [("e2", -r2, "x1"), ("f2", r2, "y1")],
-                ("f1", "e2"): [("e2", -r2, "x1"), ("f2", r2, "y1")],
-                ("e2", "f1"): [("e2", -r2, "x1"), ("f2", r2, "y1")],
-                ("f2", "e1"): [("e2", -r2, "x1"), ("f2", r2, "y1")],
-            },
-        )
+    swapped = _at_origin(origin.theta.swap_complex_coordinates(1, 2))
+    m_bar = origin.m_bar
+    checks = _entry_checks(origin.A, m_bar, table)
+    checks += [
+        replace(chk, name=second + chk.name[1:])
+        for chk in _entry_checks(swapped.A, m_bar, [(_swap_labels_12(spec), val) for spec, val in table])
     ]
-    checks += _entry_checks(
-        A,
-        m_bar,
-        [
+    for label, side, rho14 in ((first, origin, rho14_first), (second, swapped, rho14_second)):
+        checks += [
+            replace(chk, name=f"{label}_{chk.name}")
+            for chk in _rho_checks(side.traces.rho14, "rho14", m_bar, rho14)
+        ]
+        swap34 = np.einsum("abdc->abcd", side.A.entries)
+        checks.append(
+            WitnessCheck(f"{label}_{pair_law}", 0.0, float(np.max(np.abs(side.A.entries - sign * swap34))))
+        )
+        gap = side.traces.rho13.entries - sign * side.traces.rho14.entries
+        checks.append(WitnessCheck(f"{label}_{trace_law}", 0.0, float(np.max(np.abs(gap)))))
+    prefix = f"{first}_{combine}_{second}_"
+    combined = origin.A + swapped.A * sign
+    checks.append(WitnessCheck(prefix + "norm", ">0", combined.norm(), kind="positive", tol=MEMBERSHIP_TOL))
+    checks += [
+        replace(chk, name=prefix + chk.name)
+        for chk in _module_placement_checks(combined, allowed=(target,), require_nonzero=(target,))
+    ]
+    return checks
+
+
+def _bianchi_combination(origin: _Origin) -> float:
+    # The combination that obstructs membership in the symmetric-pair modules:
+    # the Bianchi sum of the last-two-slot symmetrization is 1/2, not 0.
+    entries = origin.A.entries
+    sym = (entries + np.einsum("abdc->abcd", entries)) / 2.0
+    e1, e2, f1, f3 = (_idx(label, origin.m_bar) for label in ("e1", "e2", "f1", "f3"))
+    return float(sym[f3, f1, e2, e1] + sym[f1, e2, f3, e1] + sym[e2, f3, f1, e1])
+
+
+_SCALARS: dict[str, Callable[[_Origin], float]] = {
+    "tau": lambda o: o.traces.tau,
+    "tau_tilde_J": lambda o: o.traces.tau_tilde_j,
+    "rho13_norm": lambda o: o.traces.rho13.norm(),
+    "rho14_norm": lambda o: o.traces.rho14.norm(),
+    "parity_odd_part": lambda o: j_parity_residuals(o.A)[0],
+    "parity_even_part": lambda o: j_parity_residuals(o.A)[1],
+    "bianchi_combination": _bianchi_combination,
+}
+
+#: Row kind -> check helper; each helper takes the evaluated case and the row's fields.
+_ROW_CHECKS: dict[str, Callable[..., list[WitnessCheck]]] = {
+    "gamma": lambda o, display: [_gamma_display_check(o.conn, o.m_bar, display)],
+    "A": lambda o, items: _entry_checks(o.A, o.m_bar, items),
+    "rho14": lambda o, items: _rho_checks(o.traces.rho14, "rho14", o.m_bar, items),
+    "rho13": lambda o, items: _rho_checks(o.traces.rho13, "rho13", o.m_bar, items),
+    "scalars": lambda o, items: [WitnessCheck(name, want, _SCALARS[name](o)) for name, want in items],
+    "bilinear": lambda o, trace, nonzero, zero: _bilinear_membership_checks(
+        getattr(o.traces, trace), f"{trace}_part", nonzero, zero
+    ),
+    "placement": lambda o, allowed, nonzero: _module_placement_checks(o.A, allowed, nonzero),
+    "pair": _pair_checks,
+}
+
+
+# ---------------------------------------------------------------------------
+# case tables: (field terms, table rows), both built from rho
+# ---------------------------------------------------------------------------
+
+def _table_4_1_1(r1: float, r2: float) -> tuple[list, list]:
+    field = [((1, 1, 1), "zbar", 1, r1, 0.0), ((1, 2, 2), "zbar", 1, 0.0, r2)]
+    rows = [
+        ("gamma", {
+            ("e1", "e1"): [("e1", r1, "x1"), ("f1", -r1, "y1")],
+            ("f1", "f1"): [("e1", -r1, "x1"), ("f1", r1, "y1")],
+            ("e1", "f1"): [("e1", r1, "y1"), ("f1", r1, "x1")],
+            ("f1", "e1"): [("e1", r1, "y1"), ("f1", r1, "x1")],
+            ("e1", "e2"): [("e2", r2, "y1"), ("f2", r2, "x1")],
+            ("e2", "e1"): [("e2", r2, "y1"), ("f2", r2, "x1")],
+            ("f1", "f2"): [("e2", -r2, "y1"), ("f2", -r2, "x1")],
+            ("f2", "f1"): [("e2", -r2, "y1"), ("f2", -r2, "x1")],
+            ("e1", "f2"): [("e2", -r2, "x1"), ("f2", r2, "y1")],
+            ("f1", "e2"): [("e2", -r2, "x1"), ("f2", r2, "y1")],
+            ("e2", "f1"): [("e2", -r2, "x1"), ("f2", r2, "y1")],
+            ("f2", "e1"): [("e2", -r2, "x1"), ("f2", r2, "y1")],
+        }),
+        ("A", [
             ("A(e1,f1,e1,f1)", 2 * r1),
             ("A(e1,f1,f1,e1)", -2 * r1),
             ("A(e1,e2,e1,f2)", r2),
@@ -227,61 +311,32 @@ def _run_4_1_1(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
             ("A(f1,f2,e1,f2)", r2),
             ("A(e1,f1,f2,f2)", -2 * r2),
             ("A(e1,f1,e2,e2)", -2 * r2),
-        ],
-    )
-    checks += _rho_checks(
-        traces.rho14,
-        "rho14",
-        m_bar,
-        [
+        ]),
+        ("rho14", [
             ("e1", "e1", -2 * r1),
             ("f1", "f1", -2 * r1),
             ("e1", "f1", 2 * r2),
             ("f1", "e1", -2 * r2),
-        ],
-    )
-    checks.append(WitnessCheck("tau", -4 * r1, traces.tau))
-    checks.append(WitnessCheck("tau_tilde_J", -4 * r2, traces.tau_tilde_j))
-    return checks
-
-
-def _theta_4_1_2(m_bar: int, rho: tuple[float, ...]) -> ThetaField:
-    r1, r2 = rho
-    return ThetaField(
-        m_bar,
-        {
-            (1, 1, 1): ComplexPoly.z(m_bar, 2).scale(r1),
-            (2, 2, 2): ComplexPoly.z(m_bar, 1).scale(r2),
-        },
-    )
-
-
-def _run_4_1_2(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
-    r1, r2 = rho
-    theta = _theta_4_1_2(m_bar, rho)
-    conn = connection_from_theta(theta)
-    A = _origin_curvature(theta)
-    traces = ricci_traces(A)
-    checks = [
-        _gamma_display_check(
-            conn,
-            m_bar,
-            {
-                ("e1", "e1"): [("e1", r1, "x2"), ("f1", r1, "y2")],
-                ("f1", "f1"): [("e1", -r1, "x2"), ("f1", -r1, "y2")],
-                ("e1", "f1"): [("e1", -r1, "y2"), ("f1", r1, "x2")],
-                ("f1", "e1"): [("e1", -r1, "y2"), ("f1", r1, "x2")],
-                ("e2", "e2"): [("e2", r2, "x1"), ("f2", r2, "y1")],
-                ("f2", "f2"): [("e2", -r2, "x1"), ("f2", -r2, "y1")],
-                ("e2", "f2"): [("e2", -r2, "y1"), ("f2", r2, "x1")],
-                ("f2", "e2"): [("e2", -r2, "y1"), ("f2", r2, "x1")],
-            },
-        )
+        ]),
+        ("scalars", [("tau", -4 * r1), ("tau_tilde_J", -4 * r2)]),
     ]
-    checks += _entry_checks(
-        A,
-        m_bar,
-        [
+    return field, rows
+
+
+def _table_4_1_2(r1: float, r2: float) -> tuple[list, list]:
+    field = [((1, 1, 1), "z", 2, r1, 0.0), ((2, 2, 2), "z", 1, r2, 0.0)]
+    rows = [
+        ("gamma", {
+            ("e1", "e1"): [("e1", r1, "x2"), ("f1", r1, "y2")],
+            ("f1", "f1"): [("e1", -r1, "x2"), ("f1", -r1, "y2")],
+            ("e1", "f1"): [("e1", -r1, "y2"), ("f1", r1, "x2")],
+            ("f1", "e1"): [("e1", -r1, "y2"), ("f1", r1, "x2")],
+            ("e2", "e2"): [("e2", r2, "x1"), ("f2", r2, "y1")],
+            ("f2", "f2"): [("e2", -r2, "x1"), ("f2", -r2, "y1")],
+            ("e2", "f2"): [("e2", -r2, "y1"), ("f2", r2, "x1")],
+            ("f2", "e2"): [("e2", -r2, "y1"), ("f2", r2, "x1")],
+        }),
+        ("A", [
             ("A(e2,e1,e1,e1)", r1),
             ("A(e2,f1,f1,e1)", -r1),
             ("A(f2,e1,e1,f1)", r1),
@@ -298,75 +353,42 @@ def _run_4_1_2(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
             ("A(e1,f2,e2,f2)", r2),
             ("A(f1,e2,f2,e2)", -r2),
             ("A(f1,f2,e2,e2)", -r2),
-        ],
-    )
-    checks += _rho_checks(
-        traces.rho14,
-        "rho14",
-        m_bar,
-        [
+        ]),
+        ("rho14", [
             ("e2", "e1", -2 * r1),
             ("f2", "f1", 2 * r1),
             ("e1", "e2", -2 * r2),
             ("f1", "f2", 2 * r2),
-        ],
-    )
+        ]),
+    ]
     # Symmetry type of rho14 per parameter choice; the symmetric variant is
     # J-odd, so it lands in S2- (see the README labeling note).
     if r1 == r2 and r1 != 0.0:
-        checks += _bilinear_membership_checks(
-            traces.rho14,
-            "rho14_part",
-            nonzero=("S2-",),
-            zero=("S2_0+", "R<.,.>", "L2-", "L2_0+", "R.Omega"),
-        )
+        rows.append(("bilinear", "rho14", ("S2-",), ("S2_0+", "R<.,.>", "L2-", "L2_0+", "R.Omega")))
     if r1 == -r2 and r1 != 0.0:
-        checks += _bilinear_membership_checks(
-            traces.rho14,
-            "rho14_part",
-            nonzero=("L2-",),
-            zero=("S2-", "S2_0+", "R<.,.>", "L2_0+", "R.Omega"),
-        )
-    return checks
+        rows.append(("bilinear", "rho14", ("L2-",), ("S2-", "S2_0+", "R<.,.>", "L2_0+", "R.Omega")))
+    return field, rows
 
 
-def _theta_4_1_3a(m_bar: int, rho: tuple[float, ...]) -> ThetaField:
-    r1, r2, r3, r4 = rho
-    return ThetaField(
-        m_bar,
-        {
-            (1, 1, 1): ComplexPoly.z_bar(m_bar, 1).scale(r1) + ComplexPoly.z_bar(m_bar, 2).scale(r2),
-            (2, 2, 2): ComplexPoly.z_bar(m_bar, 2).scale(r3) + ComplexPoly.z_bar(m_bar, 1).scale(r4),
-        },
-    )
-
-
-def _run_4_1_3a(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
-    r1, r2, r3, r4 = rho
-    theta = _theta_4_1_3a(m_bar, rho)
-    conn = connection_from_theta(theta)
-    A = _origin_curvature(theta)
-    traces = ricci_traces(A)
-    checks = [
-        _gamma_display_check(
-            conn,
-            m_bar,
-            {
-                ("e1", "e1"): [("e1", r1, "x1"), ("e1", r2, "x2"), ("f1", -r1, "y1"), ("f1", -r2, "y2")],
-                ("f1", "f1"): [("e1", -r1, "x1"), ("e1", -r2, "x2"), ("f1", r1, "y1"), ("f1", r2, "y2")],
-                ("e1", "f1"): [("e1", r1, "y1"), ("e1", r2, "y2"), ("f1", r1, "x1"), ("f1", r2, "x2")],
-                ("f1", "e1"): [("e1", r1, "y1"), ("e1", r2, "y2"), ("f1", r1, "x1"), ("f1", r2, "x2")],
-                ("e2", "e2"): [("e2", r3, "x2"), ("e2", r4, "x1"), ("f2", -r3, "y2"), ("f2", -r4, "y1")],
-                ("f2", "f2"): [("e2", -r3, "x2"), ("e2", -r4, "x1"), ("f2", r3, "y2"), ("f2", r4, "y1")],
-                ("e2", "f2"): [("e2", r3, "y2"), ("e2", r4, "y1"), ("f2", r3, "x2"), ("f2", r4, "x1")],
-                ("f2", "e2"): [("e2", r3, "y2"), ("e2", r4, "y1"), ("f2", r3, "x2"), ("f2", r4, "x1")],
-            },
-        )
+def _table_4_1_3a(r1: float, r2: float, r3: float, r4: float) -> tuple[list, list]:
+    field = [
+        ((1, 1, 1), "zbar", 1, r1, 0.0),
+        ((1, 1, 1), "zbar", 2, r2, 0.0),
+        ((2, 2, 2), "zbar", 2, r3, 0.0),
+        ((2, 2, 2), "zbar", 1, r4, 0.0),
     ]
-    checks += _entry_checks(
-        A,
-        m_bar,
-        [
+    rows = [
+        ("gamma", {
+            ("e1", "e1"): [("e1", r1, "x1"), ("e1", r2, "x2"), ("f1", -r1, "y1"), ("f1", -r2, "y2")],
+            ("f1", "f1"): [("e1", -r1, "x1"), ("e1", -r2, "x2"), ("f1", r1, "y1"), ("f1", r2, "y2")],
+            ("e1", "f1"): [("e1", r1, "y1"), ("e1", r2, "y2"), ("f1", r1, "x1"), ("f1", r2, "x2")],
+            ("f1", "e1"): [("e1", r1, "y1"), ("e1", r2, "y2"), ("f1", r1, "x1"), ("f1", r2, "x2")],
+            ("e2", "e2"): [("e2", r3, "x2"), ("e2", r4, "x1"), ("f2", -r3, "y2"), ("f2", -r4, "y1")],
+            ("f2", "f2"): [("e2", -r3, "x2"), ("e2", -r4, "x1"), ("f2", r3, "y2"), ("f2", r4, "y1")],
+            ("e2", "f2"): [("e2", r3, "y2"), ("e2", r4, "y1"), ("f2", r3, "x2"), ("f2", r4, "x1")],
+            ("f2", "e2"): [("e2", r3, "y2"), ("e2", r4, "y1"), ("f2", r3, "x2"), ("f2", r4, "x1")],
+        }),
+        ("A", [
             ("A(e1,f1,f1,e1)", -2 * r1),
             ("A(e1,f1,e1,f1)", 2 * r1),
             ("A(e2,e1,e1,e1)", r2),
@@ -387,13 +409,8 @@ def _run_4_1_3a(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
             ("A(f1,f2,f2,f2)", r4),
             ("A(f1,e2,f2,e2)", r4),
             ("A(f1,f2,e2,e2)", r4),
-        ],
-    )
-    checks += _rho_checks(
-        traces.rho14,
-        "rho14",
-        m_bar,
-        [
+        ]),
+        ("rho14", [
             ("e1", "e1", -2 * r1),
             ("f1", "f1", -2 * r1),
             ("e1", "e2", -2 * r4),
@@ -402,13 +419,8 @@ def _run_4_1_3a(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
             ("f2", "f2", -2 * r3),
             ("e2", "e1", -2 * r2),
             ("f2", "f1", -2 * r2),
-        ],
-    )
-    checks += _rho_checks(
-        traces.rho13,
-        "rho13",
-        m_bar,
-        [
+        ]),
+        ("rho13", [
             ("e1", "e1", 2 * r1),
             ("f1", "f1", 2 * r1),
             ("e2", "e2", 2 * r3),
@@ -417,64 +429,35 @@ def _run_4_1_3a(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
             ("f1", "f2", 0.0),
             ("e2", "e1", 0.0),
             ("f2", "f1", 0.0),
-        ],
-    )
-    checks.append(WitnessCheck("tau", -4 * r1 - 4 * r3, traces.tau))
-    checks.append(WitnessCheck("tau_tilde_J", 0.0, traces.tau_tilde_j))
-    if rho == (0.0, 1.0, 0.0, 1.0):
-        checks += _bilinear_membership_checks(
-            traces.rho14, "rho14_part",
-            nonzero=("S2_0+",),
-            zero=("S2-", "R<.,.>", "L2-", "L2_0+", "R.Omega"),
-        )
-        checks.append(WitnessCheck("rho13_norm", 0.0, traces.rho13.norm()))
-    if rho == (0.0, 1.0, 0.0, -1.0):
-        checks += _bilinear_membership_checks(
-            traces.rho14, "rho14_part",
-            nonzero=("L2_0+",),
-            zero=("S2-", "S2_0+", "R<.,.>", "L2-", "R.Omega"),
-        )
-        checks.append(WitnessCheck("rho13_norm", 0.0, traces.rho13.norm()))
-    if rho == (1.0, 0.0, -1.0, 0.0):
-        checks += _bilinear_membership_checks(
-            traces.rho13, "rho13_part",
-            nonzero=("S2_0+",),
-            zero=("S2-", "R<.,.>", "L2-", "L2_0+", "R.Omega"),
-        )
-    return checks
-
-
-def _theta_4_1_3b(m_bar: int, rho: tuple[float, ...]) -> ThetaField:
-    (r5,) = rho
-    return ThetaField(m_bar, {(1, 2, 2): ComplexPoly.z_bar(m_bar, 2).scale(r5)})
-
-
-def _run_4_1_3b(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
-    (r5,) = rho
-    theta = _theta_4_1_3b(m_bar, rho)
-    conn = connection_from_theta(theta)
-    A = _origin_curvature(theta)
-    traces = ricci_traces(A)
-    checks = [
-        _gamma_display_check(
-            conn,
-            m_bar,
-            {
-                ("e1", "e2"): [("e2", r5, "x2"), ("f2", -r5, "y2")],
-                ("e2", "e1"): [("e2", r5, "x2"), ("f2", -r5, "y2")],
-                ("f1", "f2"): [("e2", -r5, "x2"), ("f2", r5, "y2")],
-                ("f2", "f1"): [("e2", -r5, "x2"), ("f2", r5, "y2")],
-                ("e1", "f2"): [("e2", r5, "y2"), ("f2", r5, "x2")],
-                ("f1", "e2"): [("e2", r5, "y2"), ("f2", r5, "x2")],
-                ("e2", "f1"): [("e2", r5, "y2"), ("f2", r5, "x2")],
-                ("f2", "e1"): [("e2", r5, "y2"), ("f2", r5, "x2")],
-            },
-        )
+        ]),
+        ("scalars", [("tau", -4 * r1 - 4 * r3), ("tau_tilde_J", 0.0)]),
     ]
-    checks += _entry_checks(
-        A,
-        m_bar,
-        [
+    rho = (r1, r2, r3, r4)
+    if rho == (0.0, 1.0, 0.0, 1.0):
+        rows.append(("bilinear", "rho14", ("S2_0+",), ("S2-", "R<.,.>", "L2-", "L2_0+", "R.Omega")))
+        rows.append(("scalars", [("rho13_norm", 0.0)]))
+    if rho == (0.0, 1.0, 0.0, -1.0):
+        rows.append(("bilinear", "rho14", ("L2_0+",), ("S2-", "S2_0+", "R<.,.>", "L2-", "R.Omega")))
+        rows.append(("scalars", [("rho13_norm", 0.0)]))
+    if rho == (1.0, 0.0, -1.0, 0.0):
+        rows.append(("bilinear", "rho13", ("S2_0+",), ("S2-", "R<.,.>", "L2-", "L2_0+", "R.Omega")))
+    return field, rows
+
+
+def _table_4_1_3b(r5: float) -> tuple[list, list]:
+    field = [((1, 2, 2), "zbar", 2, r5, 0.0)]
+    rows = [
+        ("gamma", {
+            ("e1", "e2"): [("e2", r5, "x2"), ("f2", -r5, "y2")],
+            ("e2", "e1"): [("e2", r5, "x2"), ("f2", -r5, "y2")],
+            ("f1", "f2"): [("e2", -r5, "x2"), ("f2", r5, "y2")],
+            ("f2", "f1"): [("e2", -r5, "x2"), ("f2", r5, "y2")],
+            ("e1", "f2"): [("e2", r5, "y2"), ("f2", r5, "x2")],
+            ("f1", "e2"): [("e2", r5, "y2"), ("f2", r5, "x2")],
+            ("e2", "f1"): [("e2", r5, "y2"), ("f2", r5, "x2")],
+            ("f2", "e1"): [("e2", r5, "y2"), ("f2", r5, "x2")],
+        }),
+        ("A", [
             ("A(e2,e1,e2,e2)", r5),
             ("A(e2,f1,f2,e2)", -r5),
             ("A(f2,e1,e2,f2)", -r5),
@@ -485,91 +468,36 @@ def _run_4_1_3b(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
             ("A(f2,f1,e2,e2)", r5),
             ("A(e2,f2,e1,f2)", 2 * r5),
             ("A(e2,f2,f1,e2)", -2 * r5),
-        ],
-    )
-    checks += _rho_checks(
-        traces.rho13,
-        "rho13",
-        m_bar,
-        [("e1", "e2", 2 * r5), ("f1", "f2", 2 * r5)],
-    )
-    if r5 != 0.0:
-        checks += _bilinear_membership_checks(
-            traces.rho13, "rho13_part",
-            nonzero=("S2_0+", "L2_0+"),
-            zero=("S2-", "R<.,.>", "L2-", "R.Omega"),
-        )
-    return checks
-
-
-def _theta_4_2_w9w10(m_bar: int, rho: tuple[float, ...]) -> ThetaField:
-    r1, r2, r3 = rho
-    return ThetaField(
-        m_bar,
-        {
-            (1, 1, 2): ComplexPoly.z_bar(m_bar, 1).scale(r1),
-            (1, 1, 1): ComplexPoly.z_bar(m_bar, 2).scale(r3),
-            (1, 2, 1): ComplexPoly.z_bar(m_bar, 1).scale(r2),
-        },
-    )
-
-
-_A1_TABLE = [
-    ("A(e1,f1,e1,f2)", -1.0),
-    ("A(f1,e1,f1,e2)", -1.0),
-    ("A(f2,e1,f1,e1)", -1.0),
-    ("A(e2,f1,e1,f1)", -1.0),
-    ("A(e1,f1,f2,e1)", 1.0),
-    ("A(f1,e1,e2,f1)", 1.0),
-    ("A(f2,e1,e1,f1)", 1.0),
-    ("A(e2,f1,f1,e1)", 1.0),
-]
-
-_A3_TABLE = [
-    ("A(e1,f1,e1,f2)", 1.0),
-    ("A(e1,f1,f2,e1)", 1.0),
-    ("A(e1,f1,f1,e2)", -1.0),
-    ("A(e1,f1,e2,f1)", -1.0),
-    ("A(e1,e2,f1,f1)", -1.0),
-    ("A(e1,e2,e1,e1)", -1.0),
-    ("A(f1,f2,e1,e1)", -1.0),
-    ("A(f1,f2,f1,f1)", -1.0),
-]
-
-
-def _swap_labels_12(spec: str) -> str:
-    return spec.translate(str.maketrans({"1": "2", "2": "1"}))
-
-
-def _run_4_2_w9w10(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
-    r1, r2, r3 = rho
-    theta = _theta_4_2_w9w10(m_bar, rho)
-    conn = connection_from_theta(theta)
-    A = _origin_curvature(theta)
-    checks = [
-        _gamma_display_check(
-            conn,
-            m_bar,
-            {
-                ("e1", "e1"): [("e2", r1, "x1"), ("f2", -r1, "y1"), ("e1", r3, "x2"), ("f1", -r3, "y2")],
-                ("f1", "f1"): [("e2", -r1, "x1"), ("f2", r1, "y1"), ("e1", -r3, "x2"), ("f1", r3, "y2")],
-                ("f1", "e1"): [("e2", r1, "y1"), ("f2", r1, "x1"), ("e1", r3, "y2"), ("f1", r3, "x2")],
-                ("e1", "f1"): [("e2", r1, "y1"), ("f2", r1, "x1"), ("e1", r3, "y2"), ("f1", r3, "x2")],
-                ("e1", "e2"): [("e1", r2, "x1"), ("f1", -r2, "y1")],
-                ("e2", "e1"): [("e1", r2, "x1"), ("f1", -r2, "y1")],
-                ("f1", "f2"): [("e1", -r2, "x1"), ("f1", r2, "y1")],
-                ("f2", "f1"): [("e1", -r2, "x1"), ("f1", r2, "y1")],
-                ("f1", "e2"): [("e1", r2, "y1"), ("f1", r2, "x1")],
-                ("e1", "f2"): [("e1", r2, "y1"), ("f1", r2, "x1")],
-                ("e2", "f1"): [("e1", r2, "y1"), ("f1", r2, "x1")],
-                ("f2", "e1"): [("e1", r2, "y1"), ("f1", r2, "x1")],
-            },
-        )
+        ]),
+        ("rho13", [("e1", "e2", 2 * r5), ("f1", "f2", 2 * r5)]),
     ]
-    checks += _entry_checks(
-        A,
-        m_bar,
-        [
+    if r5 != 0.0:
+        rows.append(("bilinear", "rho13", ("S2_0+", "L2_0+"), ("S2-", "R<.,.>", "L2-", "R.Omega")))
+    return field, rows
+
+
+def _table_4_2_w9w10(r1: float, r2: float, r3: float) -> tuple[list, list]:
+    field = [
+        ((1, 1, 2), "zbar", 1, r1, 0.0),
+        ((1, 1, 1), "zbar", 2, r3, 0.0),
+        ((1, 2, 1), "zbar", 1, r2, 0.0),
+    ]
+    rows = [
+        ("gamma", {
+            ("e1", "e1"): [("e2", r1, "x1"), ("f2", -r1, "y1"), ("e1", r3, "x2"), ("f1", -r3, "y2")],
+            ("f1", "f1"): [("e2", -r1, "x1"), ("f2", r1, "y1"), ("e1", -r3, "x2"), ("f1", r3, "y2")],
+            ("f1", "e1"): [("e2", r1, "y1"), ("f2", r1, "x1"), ("e1", r3, "y2"), ("f1", r3, "x2")],
+            ("e1", "f1"): [("e2", r1, "y1"), ("f2", r1, "x1"), ("e1", r3, "y2"), ("f1", r3, "x2")],
+            ("e1", "e2"): [("e1", r2, "x1"), ("f1", -r2, "y1")],
+            ("e2", "e1"): [("e1", r2, "x1"), ("f1", -r2, "y1")],
+            ("f1", "f2"): [("e1", -r2, "x1"), ("f1", r2, "y1")],
+            ("f2", "f1"): [("e1", -r2, "x1"), ("f1", r2, "y1")],
+            ("f1", "e2"): [("e1", r2, "y1"), ("f1", r2, "x1")],
+            ("e1", "f2"): [("e1", r2, "y1"), ("f1", r2, "x1")],
+            ("e2", "f1"): [("e1", r2, "y1"), ("f1", r2, "x1")],
+            ("f2", "e1"): [("e1", r2, "y1"), ("f1", r2, "x1")],
+        }),
+        ("A", [
             ("A(e1,f1,e1,f2)", 2 * r1),
             ("A(e1,f1,f1,e2)", -2 * r1),
             ("A(e1,f1,e2,f1)", 2 * r2),
@@ -582,120 +510,52 @@ def _run_4_2_w9w10(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
             ("A(f1,f2,f1,f1)", r2 - r3),
             ("A(f1,e2,e1,f1)", -r2 - r3),
             ("A(f1,e2,f1,e1)", r2 + r3),
-        ],
-    )
-
-    if rho == (-0.5, -0.5, -0.5):
-        swapped = theta.swap_complex_coordinates(1, 2)
-        A2 = _origin_curvature(swapped)
-        checks += _entry_checks(A, m_bar, [(spec, val) for spec, val in _A1_TABLE])
-        checks += [
-            WitnessCheck("A2" + chk.name[1:], chk.expected, chk.computed)
-            for chk in _entry_checks(
-                A2, m_bar, [(_swap_labels_12(spec), val) for spec, val in _A1_TABLE]
-            )
-        ]
-        for label, tensor in (("A1", A), ("A2", A2)):
-            traces = ricci_traces(tensor)
-            checks += [
-                WitnessCheck(f"{label}_" + chk.name, chk.expected, chk.computed)
-                for chk in _rho_checks(
-                    traces.rho14,
-                    "rho14",
-                    m_bar,
-                    [("e1", "e2", 1.0), ("e2", "e1", 1.0), ("f1", "f2", 1.0), ("f2", "f1", 1.0)],
-                )
-            ]
-            swap34 = np.einsum("abdc->abcd", tensor.entries)
-            checks.append(
-                WitnessCheck(f"{label}_antisym34", 0.0, float(np.max(np.abs(tensor.entries + swap34))))
-            )
-            checks.append(
-                WitnessCheck(
-                    f"{label}_rho13_plus_rho14",
-                    0.0,
-                    float(np.max(np.abs(traces.rho13.entries + traces.rho14.entries))),
-                )
-            )
-        diff = A - A2
-        checks.append(WitnessCheck("A1_minus_A2_norm", ">0", diff.norm(), kind="positive", tol=MEMBERSHIP_TOL))
-        checks += [
-            WitnessCheck("A1_minus_A2_" + chk.name, chk.expected, chk.computed, chk.kind, chk.tol)
-            for chk in _module_placement_checks(diff, allowed=("W9",), require_nonzero=("W9",))
-        ]
-
-    if rho == (0.5, -0.5, 0.5):
-        swapped = theta.swap_complex_coordinates(1, 2)
-        A4 = _origin_curvature(swapped)
-        checks += _entry_checks(A, m_bar, [(spec, val) for spec, val in _A3_TABLE])
-        checks += [
-            WitnessCheck("A4" + chk.name[1:], chk.expected, chk.computed)
-            for chk in _entry_checks(
-                A4, m_bar, [(_swap_labels_12(spec), val) for spec, val in _A3_TABLE]
-            )
-        ]
-        for label, tensor, first in (("A3", A, ("e1", "e2")), ("A4", A4, ("e2", "e1"))):
-            traces = ricci_traces(tensor)
-            la, lb = first
-            checks += [
-                WitnessCheck(f"{label}_" + chk.name, chk.expected, chk.computed)
-                for chk in _rho_checks(
-                    traces.rho14,
-                    "rho14",
-                    m_bar,
-                    [
-                        (la, lb, 1.0),
-                        (f"f{la[1]}", f"f{lb[1]}", 1.0),
-                        (lb, la, -1.0),
-                        (f"f{lb[1]}", f"f{la[1]}", -1.0),
-                    ],
-                )
-            ]
-            swap34 = np.einsum("abdc->abcd", tensor.entries)
-            checks.append(
-                WitnessCheck(f"{label}_sym34", 0.0, float(np.max(np.abs(tensor.entries - swap34))))
-            )
-            checks.append(
-                WitnessCheck(
-                    f"{label}_rho13_minus_rho14",
-                    0.0,
-                    float(np.max(np.abs(traces.rho13.entries - traces.rho14.entries))),
-                )
-            )
-        total = A + A4
-        checks.append(WitnessCheck("A3_plus_A4_norm", ">0", total.norm(), kind="positive", tol=MEMBERSHIP_TOL))
-        checks += [
-            WitnessCheck("A3_plus_A4_" + chk.name, chk.expected, chk.computed, chk.kind, chk.tol)
-            for chk in _module_placement_checks(total, allowed=("W10",), require_nonzero=("W10",))
-        ]
-    return checks
-
-
-def _theta_4_2_w12(m_bar: int, rho: tuple[float, ...]) -> ThetaField:
-    return ThetaField(m_bar, {(1, 1, 2): ComplexPoly.z(m_bar, 3)})
-
-
-def _run_4_2_w12(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
-    theta = _theta_4_2_w12(m_bar, rho)
-    conn = connection_from_theta(theta)
-    A = _origin_curvature(theta)
-    traces = ricci_traces(A)
-    checks = [
-        _gamma_display_check(
-            conn,
-            m_bar,
-            {
-                ("e1", "e1"): [("e2", 1.0, "x3"), ("f2", 1.0, "y3")],
-                ("f1", "f1"): [("e2", -1.0, "x3"), ("f2", -1.0, "y3")],
-                ("e1", "f1"): [("e2", -1.0, "y3"), ("f2", 1.0, "x3")],
-                ("f1", "e1"): [("e2", -1.0, "y3"), ("f2", 1.0, "x3")],
-            },
-        )
+        ]),
     ]
-    checks += _entry_checks(
-        A,
-        m_bar,
-        [
+    rho = (r1, r2, r3)
+    # pair rows: sign, target module, the entry table of the first tensor
+    # (the second's is its 1 <-> 2 relabelling), rho14 of the first, rho14 of the second
+    if rho == (-0.5, -0.5, -0.5):
+        rows.append(("pair", -1, "W9", [
+            ("A(e1,f1,e1,f2)", -1.0),
+            ("A(f1,e1,f1,e2)", -1.0),
+            ("A(f2,e1,f1,e1)", -1.0),
+            ("A(e2,f1,e1,f1)", -1.0),
+            ("A(e1,f1,f2,e1)", 1.0),
+            ("A(f1,e1,e2,f1)", 1.0),
+            ("A(f2,e1,e1,f1)", 1.0),
+            ("A(e2,f1,f1,e1)", 1.0),
+        ],
+            [("e1", "e2", 1.0), ("e2", "e1", 1.0), ("f1", "f2", 1.0), ("f2", "f1", 1.0)],
+            [("e1", "e2", 1.0), ("e2", "e1", 1.0), ("f1", "f2", 1.0), ("f2", "f1", 1.0)],
+        ))
+    if rho == (0.5, -0.5, 0.5):
+        rows.append(("pair", 1, "W10", [
+            ("A(e1,f1,e1,f2)", 1.0),
+            ("A(e1,f1,f2,e1)", 1.0),
+            ("A(e1,f1,f1,e2)", -1.0),
+            ("A(e1,f1,e2,f1)", -1.0),
+            ("A(e1,e2,f1,f1)", -1.0),
+            ("A(e1,e2,e1,e1)", -1.0),
+            ("A(f1,f2,e1,e1)", -1.0),
+            ("A(f1,f2,f1,f1)", -1.0),
+        ],
+            [("e1", "e2", 1.0), ("f1", "f2", 1.0), ("e2", "e1", -1.0), ("f2", "f1", -1.0)],
+            [("e2", "e1", 1.0), ("f2", "f1", 1.0), ("e1", "e2", -1.0), ("f1", "f2", -1.0)],
+        ))
+    return field, rows
+
+
+def _table_4_2_w12() -> tuple[list, list]:
+    field = [((1, 1, 2), "z", 3, 1.0, 0.0)]
+    rows = [
+        ("gamma", {
+            ("e1", "e1"): [("e2", 1.0, "x3"), ("f2", 1.0, "y3")],
+            ("f1", "f1"): [("e2", -1.0, "x3"), ("f2", -1.0, "y3")],
+            ("e1", "f1"): [("e2", -1.0, "y3"), ("f2", 1.0, "x3")],
+            ("f1", "e1"): [("e2", -1.0, "y3"), ("f2", 1.0, "x3")],
+        }),
+        ("A", [
             ("A(e3,e1,e1,e2)", 1.0),
             ("A(e3,f1,f1,e2)", -1.0),
             ("A(f3,e1,e1,f2)", 1.0),
@@ -704,40 +564,23 @@ def _run_4_2_w12(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
             ("A(e3,f1,e1,f2)", 1.0),
             ("A(f3,e1,f1,e2)", -1.0),
             ("A(f3,f1,e1,e2)", -1.0),
-        ],
-    )
-    checks.append(WitnessCheck("rho14_norm", 0.0, traces.rho14.norm()))
-    odd, even = j_parity_residuals(A)
-    checks.append(WitnessCheck("parity_even_part", 0.0, even))
-    checks += _module_placement_checks(A, allowed=("W12",), require_nonzero=("W12",))
-    return checks
-
-
-def _theta_4_2_w11(m_bar: int, rho: tuple[float, ...]) -> ThetaField:
-    return ThetaField(m_bar, {(1, 1, 2): ComplexPoly.z_bar(m_bar, 3)})
-
-
-def _run_4_2_w11(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
-    theta = _theta_4_2_w11(m_bar, rho)
-    conn = connection_from_theta(theta)
-    A = _origin_curvature(theta)
-    traces = ricci_traces(A)
-    checks = [
-        _gamma_display_check(
-            conn,
-            m_bar,
-            {
-                ("e1", "e1"): [("e2", 1.0, "x3"), ("f2", -1.0, "y3")],
-                ("f1", "f1"): [("e2", -1.0, "x3"), ("f2", 1.0, "y3")],
-                ("e1", "f1"): [("e2", 1.0, "y3"), ("f2", 1.0, "x3")],
-                ("f1", "e1"): [("e2", 1.0, "y3"), ("f2", 1.0, "x3")],
-            },
-        )
+        ]),
+        ("scalars", [("rho14_norm", 0.0), ("parity_even_part", 0.0)]),
+        ("placement", ("W12",), ("W12",)),
     ]
-    checks += _entry_checks(
-        A,
-        m_bar,
-        [
+    return field, rows
+
+
+def _table_4_2_w11() -> tuple[list, list]:
+    field = [((1, 1, 2), "zbar", 3, 1.0, 0.0)]
+    rows = [
+        ("gamma", {
+            ("e1", "e1"): [("e2", 1.0, "x3"), ("f2", -1.0, "y3")],
+            ("f1", "f1"): [("e2", -1.0, "x3"), ("f2", 1.0, "y3")],
+            ("e1", "f1"): [("e2", 1.0, "y3"), ("f2", 1.0, "x3")],
+            ("f1", "e1"): [("e2", 1.0, "y3"), ("f2", 1.0, "x3")],
+        }),
+        ("A", [
             ("A(e3,e1,e1,e2)", 1.0),
             ("A(e3,f1,f1,e2)", -1.0),
             ("A(f3,e1,e1,f2)", -1.0),
@@ -746,44 +589,33 @@ def _run_4_2_w11(m_bar: int, rho: tuple[float, ...]) -> list[WitnessCheck]:
             ("A(e3,f1,e1,f2)", 1.0),
             ("A(f3,e1,f1,e2)", 1.0),
             ("A(f3,f1,e1,e2)", 1.0),
-        ],
-    )
-    checks.append(WitnessCheck("rho13_norm", 0.0, traces.rho13.norm()))
-    checks.append(WitnessCheck("rho14_norm", 0.0, traces.rho14.norm()))
-    odd, _even = j_parity_residuals(A)
-    checks.append(WitnessCheck("parity_odd_part", 0.0, odd))
-
-    # The combination that obstructs membership in the symmetric-pair modules:
-    # the Bianchi sum of the last-two-slot symmetrization is 1/2, not 0.
-    sym = (A.entries + np.einsum("abdc->abcd", A.entries)) / 2.0
-    e1, e2 = _idx("e1", m_bar), _idx("e2", m_bar)
-    f1, f3 = _idx("f1", m_bar), _idx("f3", m_bar)
-    combo = sym[f3, f1, e2, e1] + sym[f1, e2, f3, e1] + sym[e2, f3, f1, e1]
-    checks.append(WitnessCheck("bianchi_combination", 0.5, float(combo)))
-
-    checks += _module_placement_checks(
-        A, allowed=("W9", "W10", "W11"), require_nonzero=("W11",)
-    )
-    return checks
+        ]),
+        ("scalars", [
+            ("rho13_norm", 0.0),
+            ("rho14_norm", 0.0),
+            ("parity_odd_part", 0.0),
+            ("bianchi_combination", 0.5),
+        ]),
+        ("placement", ("W9", "W10", "W11"), ("W11",)),
+    ]
+    return field, rows
 
 
 @dataclass(frozen=True)
 class CaseSpec:
     min_m_bar: int
-    n_rho: int
     default_rho: tuple[float, ...]
-    build: Callable[[int, tuple[float, ...]], ThetaField]
-    run: Callable[[int, tuple[float, ...]], list[WitnessCheck]]
+    table: Callable[..., tuple[list, list]]
 
 
 CASES: dict[str, CaseSpec] = {
-    "4.1.1": CaseSpec(2, 2, (1.0, 1.0), _theta_4_1_1, _run_4_1_1),
-    "4.1.2": CaseSpec(2, 2, (1.0, 1.0), _theta_4_1_2, _run_4_1_2),
-    "4.1.3a": CaseSpec(2, 4, (0.0, 1.0, 0.0, 1.0), _theta_4_1_3a, _run_4_1_3a),
-    "4.1.3b": CaseSpec(2, 1, (1.0,), _theta_4_1_3b, _run_4_1_3b),
-    "4.2.w9w10": CaseSpec(2, 3, (-0.5, -0.5, -0.5), _theta_4_2_w9w10, _run_4_2_w9w10),
-    "4.2.w12": CaseSpec(3, 0, (), _theta_4_2_w12, _run_4_2_w12),
-    "4.2.w11": CaseSpec(3, 0, (), _theta_4_2_w11, _run_4_2_w11),
+    "4.1.1": CaseSpec(2, (1.0, 1.0), _table_4_1_1),
+    "4.1.2": CaseSpec(2, (1.0, 1.0), _table_4_1_2),
+    "4.1.3a": CaseSpec(2, (0.0, 1.0, 0.0, 1.0), _table_4_1_3a),
+    "4.1.3b": CaseSpec(2, (1.0,), _table_4_1_3b),
+    "4.2.w9w10": CaseSpec(2, (-0.5, -0.5, -0.5), _table_4_2_w9w10),
+    "4.2.w12": CaseSpec(3, (), _table_4_2_w12),
+    "4.2.w11": CaseSpec(3, (), _table_4_2_w11),
 }
 
 
@@ -792,10 +624,9 @@ def _resolve(case_id: str, rho: tuple[float, ...] | None, m_bar: int | None) -> 
         raise DomainViolation(f"unknown case {case_id!r}; known: {', '.join(sorted(CASES))}")
     spec = CASES[case_id]
     used_rho = spec.default_rho if rho is None else tuple(float(r) for r in rho)
-    if len(used_rho) != spec.n_rho:
-        raise DomainViolation(
-            f"case {case_id} takes {spec.n_rho} rho parameter(s), got {len(used_rho)}"
-        )
+    n_rho = len(spec.default_rho)
+    if len(used_rho) != n_rho:
+        raise DomainViolation(f"case {case_id} takes {n_rho} rho parameter(s), got {len(used_rho)}")
     used_m_bar = spec.min_m_bar if m_bar is None else m_bar
     if used_m_bar < spec.min_m_bar:
         raise DomainViolation(f"case {case_id} requires m_bar >= {spec.min_m_bar}")
@@ -807,7 +638,8 @@ def witness_theta(
 ) -> ThetaField:
     """The coefficient field of a named witness case."""
     spec, used_rho, used_m_bar = _resolve(case_id, rho, m_bar)
-    return spec.build(used_m_bar, used_rho)
+    terms, _rows = spec.table(*used_rho)
+    return _field(used_m_bar, terms)
 
 
 def run_witness_case(
@@ -815,7 +647,9 @@ def run_witness_case(
 ) -> WitnessCase:
     """Evaluate one witness case and compare against its expected table."""
     spec, used_rho, used_m_bar = _resolve(case_id, rho, m_bar)
-    checks = tuple(spec.run(used_m_bar, used_rho))
+    terms, rows = spec.table(*used_rho)
+    origin = _at_origin(_field(used_m_bar, terms))
+    checks = tuple(check for kind, *fields in rows for check in _ROW_CHECKS[kind](origin, *fields))
     return WitnessCase(case_id=case_id, m_bar=used_m_bar, rho=used_rho, checks=checks)
 
 

@@ -5,6 +5,7 @@ complete.  Every tolerance is pinned here, not configurable.
 """
 from __future__ import annotations
 
+import re
 import time
 
 import numpy as np
@@ -12,13 +13,10 @@ import numpy as np
 from affine_kahler.connections import connection_from_theta, curvature_at
 from affine_kahler.decomposition import (
     W_LABELS,
-    bilinear_subspaces,
     clear_caches,
     computed_dimension_table,
     kahler_parity_subspaces,
     module_dimension_table,
-    w_project,
-    w_subspaces,
 )
 from affine_kahler.realization import curvature_coefficient_map, realize
 from affine_kahler.sampling import (
@@ -27,15 +25,9 @@ from affine_kahler.sampling import (
     random_kahler_tensor,
     random_point,
 )
-from affine_kahler.tensors import (
-    SpaceConfig,
-    classify_symmetries,
-    j_parity_residuals,
-    j_parity_split,
-    ricci_traces,
-    standard_complex_structure,
-)
-from affine_kahler.witnesses import witness_suite, witness_theta
+from affine_kahler.selfcheck import _decomposition_checks, _isomorphism_checks, _trace_identities
+from affine_kahler.tensors import SpaceConfig, classify_symmetries, j_parity_residuals
+from affine_kahler.witnesses import MEMBERSHIP_TOL, WitnessCheck, witness_suite
 
 SIZES = (2, 3)
 
@@ -132,55 +124,37 @@ def test_criterion_4_parity_laws():
 
 
 def test_criterion_5_decomposition_soundness():
+    # The self-test's trace-identity and decomposition groups at 100 draws per
+    # size: completeness, pairwise orthogonality and the trace laws on K, K+
+    # and K-, each at 1e-9 or tighter.
     rng = np.random.default_rng(52)
-    worst_complete = worst_orth = worst_l21 = worst_l22 = worst_l23 = 0.0
+    items = []
     for m_bar in SIZES:
         cfg = SpaceConfig(m_bar)
-        jmat = standard_complex_structure(cfg).entries
-        previous = None
-        for _ in range(100):
-            tensor = random_kahler_tensor(cfg, rng)
-            decomp = w_project(tensor)
-            worst_complete = max(worst_complete, decomp.residual / max(1.0, tensor.norm()))
-
-            if previous is not None:
-                scale = max(1.0, tensor.norm() * previous[0].norm())
-                for la in W_LABELS:
-                    for lb in W_LABELS:
-                        if la == lb:
-                            continue
-                        inner = decomp.components[la].inner(previous[1].components[lb])
-                        worst_orth = max(worst_orth, abs(inner) / scale)
-            previous = (tensor, decomp)
-
-            # trace assertions on K, K+ and K-
-            rho13 = ricci_traces(tensor).rho13.entries
-            worst_l21 = max(worst_l21, float(np.max(np.abs(jmat.T @ rho13 @ jmat - rho13))))
-            plus, minus = j_parity_split(tensor)
-            plus_traces = ricci_traces(plus)
-            r14p, r13p = plus_traces.rho14.entries, plus_traces.rho13.entries
-            worst_l22 = max(
-                worst_l22,
-                float(np.max(np.abs(jmat.T @ r14p @ jmat - r14p))),
-                float(np.max(np.abs(jmat.T @ r13p @ jmat - r13p))),
-            )
-            minus_traces = ricci_traces(minus)
-            r14m = minus_traces.rho14.entries
-            worst_l23 = max(
-                worst_l23,
-                minus_traces.rho13.norm(),
-                float(np.max(np.abs(jmat.T @ r14m @ jmat + r14m))),
-            )
-    ok = max(worst_complete, worst_orth, worst_l21, worst_l22, worst_l23) <= 1e-9
+        items += [(m_bar, item) for item in _trace_identities(cfg, rng, 100) + _decomposition_checks(cfg, rng, 100)]
+    worst: dict[str, float] = {}
+    for _m_bar, item in items:
+        worst[item.name] = max(worst.get(item.name, 0.0), item.worst)
+    assert {
+        "modules.projection_complete",
+        "modules.pairwise_orthogonal",
+        "traces.rho13_j_invariant_on_K",
+        "traces.rho14_j_even_on_K_plus",
+        "traces.rho13_j_even_on_K_plus",
+        "traces.rho13_vanishes_on_K_minus",
+        "traces.rho14_j_odd_on_K_minus",
+    } <= set(worst)
+    ok = all(item.ok and item.tol <= 1e-9 for _m_bar, item in items)
+    trace_laws = max(value for name, value in worst.items() if name.startswith("traces."))
     report(
         5,
         ok,
-        f"completeness {worst_complete:.2e}, orthogonality {worst_orth:.2e}, "
-        f"trace laws {max(worst_l21, worst_l22, worst_l23):.2e} over 100 draws per size",
+        f"completeness {worst['modules.projection_complete']:.2e}, "
+        f"orthogonality {worst['modules.pairwise_orthogonal']:.2e}, "
+        f"trace laws {trace_laws:.2e}; {len(worst)} laws over 100 draws per size",
     )
-    assert worst_complete <= 1e-9
-    assert worst_orth <= 1e-9
-    assert worst_l21 <= 1e-9 and worst_l22 <= 1e-9 and worst_l23 <= 1e-9
+    for m_bar, item in items:
+        assert item.ok and item.tol <= 1e-9, (m_bar, item)
 
 
 def test_criterion_6_surjectivity_of_the_curvature_map():
@@ -202,52 +176,52 @@ def test_criterion_6_surjectivity_of_the_curvature_map():
 
 
 def test_criterion_7_module_membership_witnesses():
-    def origin(theta):
-        return curvature_at(connection_from_theta(theta), np.zeros(2 * theta.m_bar))
-
+    # The placement rows of the witness suite at m_bar = 3: the projection
+    # residual and every off-module norm within MEMBERSHIP_TOL * max(1, |A|),
+    # each required module's norm above MEMBERSHIP_TOL.
+    assert MEMBERSHIP_TOL == 1e-9
+    placements = {  # (case, row prefix): (modules allowed, modules required nonzero)
+        ("4.2.w9w10", "A1_minus_A2_"): (("W9",), ("W9",)),
+        ("4.2.w9w10", "A3_plus_A4_"): (("W10",), ("W10",)),
+        ("4.2.w12", ""): (("W12",), ("W12",)),
+        ("4.2.w11", ""): (("W9", "W10", "W11"), ("W11",)),
+    }
+    rows: dict[tuple[str, str], dict[str, WitnessCheck]] = {}
+    for case in witness_suite(3):
+        for check in case.checks:
+            match = re.fullmatch(r"(.*?)(w_residual|norm\[W\d+\])", check.name)
+            if match:
+                rows.setdefault((case.case_id, match.group(1)), {})[match.group(2)] = check
+    assert set(rows) == set(placements)
     worst_off = 0.0
-
-    def place(tensor, allowed, must_be_positive):
-        nonlocal worst_off
-        decomp = w_project(tensor)
-        scale = max(1.0, tensor.norm())
-        for label in W_LABELS:
-            if label not in allowed:
-                worst_off = max(worst_off, decomp.norms[label] / scale)
-                assert decomp.norms[label] <= 1e-9 * scale, label
-        for label in must_be_positive:
-            assert decomp.norms[label] > 1e-9
-
-    theta_a = witness_theta("4.2.w9w10", rho=(-0.5, -0.5, -0.5), m_bar=3)
-    place(origin(theta_a) - origin(theta_a.swap_complex_coordinates(1, 2)), ("W9",), ("W9",))
-    theta_b = witness_theta("4.2.w9w10", rho=(0.5, -0.5, 0.5), m_bar=3)
-    place(origin(theta_b) + origin(theta_b.swap_complex_coordinates(1, 2)), ("W10",), ("W10",))
-    place(origin(witness_theta("4.2.w12")), ("W12",), ("W12",))
-    place(origin(witness_theta("4.2.w11")), ("W9", "W10", "W11"), ("W11",))
+    for key, (allowed, required) in placements.items():
+        found = rows[key]
+        off = ["w_residual"] + [f"norm[{label}]" for label in W_LABELS if label not in allowed]
+        on = [f"norm[{label}]" for label in required]
+        assert sorted(found) == sorted(off + on), key
+        for name in off:
+            assert found[name].kind == "close" and found[name].ok, (key, found[name])
+            if name != "w_residual":
+                worst_off = max(worst_off, found[name].computed / found[name].tol * MEMBERSHIP_TOL)
+        for name in on:
+            assert found[name].kind == "positive" and found[name].tol >= MEMBERSHIP_TOL, (key, found[name])
+            assert found[name].ok, (key, found[name])
     report(7, True, f"four witnesses placed; worst off-module norm {worst_off:.2e}")
 
 
 def test_criterion_8_isomorphism_spot_checks():
+    # The self-test's isomorphism group: L2_0+ -> S2_0+ and W9 -> W10 (J on the
+    # last slot) land in their targets to 1e-9 and are bijections (rank items
+    # carry tolerance 0: full rank, and source and target of equal dimension).
     for m_bar in SIZES:
-        cfg = SpaceConfig(m_bar)
-        m = cfg.m
-        jmat = standard_complex_structure(cfg).entries
-        bil = bilinear_subspaces(cfg)
-        lam, starget = bil["L2_0+"], bil["S2_0+"]
-        images = np.stack([(r.reshape(m, m) @ jmat).reshape(-1) for r in lam.basis])
-        for img in images:
-            assert starget.residual(img) <= 1e-9
-        assert np.linalg.matrix_rank(images, tol=1e-8) == lam.dim == starget.dim
-
-        spaces = w_subspaces(cfg)
-        w9, w10 = spaces["W9"], spaces["W10"]
-        wimages = np.stack(
-            [
-                np.einsum("abce,ed->abcd", r.reshape(m, m, m, m), jmat).reshape(-1)
-                for r in w9.basis
-            ]
-        )
-        for img in wimages:
-            assert w10.residual(img) <= 1e-9
-        assert np.linalg.matrix_rank(wimages, tol=1e-8) == w9.dim == w10.dim
+        items = _isomorphism_checks(SpaceConfig(m_bar))
+        assert [item.name for item in items] == [
+            "iso.L2plus_to_S2plus_lands",
+            "iso.L2plus_to_S2plus_rank",
+            "iso.W9_to_W10_lands",
+            "iso.W9_to_W10_rank",
+        ]
+        for item in items:
+            assert item.tol <= (0.0 if item.name.endswith("_rank") else 1e-9), item
+            assert item.ok, (m_bar, item)
     report(8, True, "both isomorphism checks are computed bijections at m_bar 2 and 3")

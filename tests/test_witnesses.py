@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,3 +134,28 @@ def test_suite_skips_third_line_cases_at_m_bar_two():
     assert "4.2.w12" not in ids and "4.2.w11" not in ids
     ids3 = [case.case_id for case in witness_suite(3)]
     assert "4.2.w12" in ids3 and "4.2.w11" in ids3
+
+
+def test_witness_inventory_is_pinned():
+    # dropping or adding a table row changes these counts
+    assert sum(len(case.checks) for case in witness_suite(2)) == 339
+    assert sum(len(case.checks) for case in witness_suite(3)) == 387
+    counts = {case_id: len(run_witness_case(case_id).checks) for case_id in CASES}
+    assert counts == {
+        "4.1.1": 19,
+        "4.1.2": 27,
+        "4.1.3a": 46,
+        "4.1.3b": 19,
+        "4.2.w9w10": 55,
+        "4.2.w12": 24,
+        "4.2.w11": 24,
+    }
+
+
+def test_witness_report_script_runs_clean():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "witness_report.py"
+    result = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[-1] == "0 failures"
+    assert sum(line.endswith(" OK") for line in lines) == 726
