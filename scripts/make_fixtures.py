@@ -24,30 +24,31 @@ def origin_curvature(theta):
     return curvature_at(connection_from_theta(theta), np.zeros(2 * theta.m_bar))
 
 
+def fixtures() -> dict[str, object]:
+    """Every fixture by file name: coefficient fields (theta_*) and tensors (tensor_*)."""
+    built: dict[str, object] = {
+        "theta_" + case_id.replace(".", "_") + ".json": witness_theta(case_id) for case_id in sorted(CASES)
+    }
+    theta_w9_a = witness_theta("4.2.w9w10", rho=(-0.5, -0.5, -0.5))
+    built["tensor_w9.json"] = origin_curvature(theta_w9_a) - origin_curvature(
+        theta_w9_a.swap_complex_coordinates(1, 2)
+    )
+    theta_w10_a = witness_theta("4.2.w9w10", rho=(0.5, -0.5, 0.5))
+    built["tensor_w10.json"] = origin_curvature(theta_w10_a) + origin_curvature(
+        theta_w10_a.swap_complex_coordinates(1, 2)
+    )
+    built["tensor_w12.json"] = origin_curvature(witness_theta("4.2.w12"))
+    built["tensor_w11.json"] = origin_curvature(witness_theta("4.2.w11"))
+    return built
+
+
 def main() -> None:
     out = ROOT / "fixtures"
     out.mkdir(exist_ok=True)
-
-    for case_id, spec in sorted(CASES.items()):
-        theta = witness_theta(case_id)
-        name = "theta_" + case_id.replace(".", "_") + ".json"
-        write_theta_file(out / name, theta)
+    for name, value in fixtures().items():
+        write = write_theta_file if name.startswith("theta_") else write_tensor_file
+        write(out / name, value)
         print("wrote", out / name)
-
-    theta_w9_a = witness_theta("4.2.w9w10", rho=(-0.5, -0.5, -0.5))
-    w9 = origin_curvature(theta_w9_a) - origin_curvature(theta_w9_a.swap_complex_coordinates(1, 2))
-    write_tensor_file(out / "tensor_w9.json", w9)
-    print("wrote", out / "tensor_w9.json")
-
-    theta_w10_a = witness_theta("4.2.w9w10", rho=(0.5, -0.5, 0.5))
-    w10 = origin_curvature(theta_w10_a) + origin_curvature(theta_w10_a.swap_complex_coordinates(1, 2))
-    write_tensor_file(out / "tensor_w10.json", w10)
-    print("wrote", out / "tensor_w10.json")
-
-    write_tensor_file(out / "tensor_w12.json", origin_curvature(witness_theta("4.2.w12")))
-    print("wrote", out / "tensor_w12.json")
-    write_tensor_file(out / "tensor_w11.json", origin_curvature(witness_theta("4.2.w11")))
-    print("wrote", out / "tensor_w11.json")
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ import numpy as np
 from .polynomials import ComplexPoly, PolyScalar
 from .tensors import SpaceConfig, Tensor4
 
-#: Default cap on the polynomial degree of coefficient entries.
-DEFAULT_DEGREE_CAP = 6
+#: Cap on the polynomial degree of coefficient entries.
+DEGREE_CAP = 6
 
 EntryKey = tuple[int, int, int]
 
@@ -48,15 +48,12 @@ class ThetaField:
 
     m_bar: int
     entries: dict[EntryKey, ComplexPoly]
-    degree_cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self) -> None:
         entries = _normalize_entries(self.m_bar, self.entries)
         worst = max((p.degree() for p in entries.values()), default=0)
-        if worst > self.degree_cap:
-            raise ValueError(
-                f"coefficient degree {worst} exceeds the cap {self.degree_cap}"
-            )
+        if worst > DEGREE_CAP:
+            raise ValueError(f"coefficient degree {worst} exceeds the cap {DEGREE_CAP}")
         object.__setattr__(self, "entries", entries)
 
     @property
@@ -78,7 +75,7 @@ class ThetaField:
         merged = dict(self.entries)
         for key, poly in other.entries.items():
             merged[key] = merged[key] + poly if key in merged else poly
-        return ThetaField(self.m_bar, merged, max(self.degree_cap, other.degree_cap))
+        return ThetaField(self.m_bar, merged)
 
     def max_degree(self) -> int:
         return max((p.degree() for p in self.entries.values()), default=0)
@@ -100,7 +97,7 @@ class ThetaField:
                 poly.u.permute_complex_coordinates(perm),
                 poly.v.permute_complex_coordinates(perm),
             )
-        return ThetaField(self.m_bar, swapped, self.degree_cap)
+        return ThetaField(self.m_bar, swapped)
 
 
 class HolomorphyKind(enum.Enum):
@@ -281,6 +278,24 @@ def curvature_at(conn: AffineConnection, point: np.ndarray) -> Tensor4:
     return Tensor4(conn.config, linear + quad)
 
 
+def degree_one_gradients(theta: ThetaField) -> np.ndarray:
+    """Origin gradients of u_{ijk} and v_{ijk}, shape (2, m_bar, m_bar, m_bar, m).
+
+    Scattered symmetrically in i, j.  Valid only for degree <= 1 fields
+    vanishing at the origin, which such gradients determine completely.
+    """
+    if theta.max_degree() > 1:
+        raise ValueError("coefficient field must have degree <= 1")
+    if not theta.vanishes_at_origin():
+        raise ValueError("coefficient field must vanish at the origin")
+    m_bar = theta.m_bar
+    grads = np.zeros((2, m_bar, m_bar, m_bar, 2 * m_bar))
+    for (i, j, k), poly in theta.entries.items():
+        for uv, part in enumerate((poly.u, poly.v)):
+            grads[uv, i - 1, j - 1, k - 1] = grads[uv, j - 1, i - 1, k - 1] = part.gradient_at_zero()
+    return grads
+
+
 def linear_curvature_at_zero(theta: ThetaField) -> Tensor4:
     """Curvature at the origin assembled directly from the coefficient gradients.
 
@@ -289,29 +304,8 @@ def linear_curvature_at_zero(theta: ThetaField) -> Tensor4:
     signed combination of first derivatives of u and v.  Cross-validated in
     the tests against the Christoffel route.
     """
-    m_bar = theta.m_bar
-    m = 2 * m_bar
-    if theta.max_degree() > 1:
-        raise ValueError("coefficient field must have degree <= 1")
-    if not theta.vanishes_at_origin():
-        raise ValueError("coefficient field must vanish at the origin")
-
-    grad_u = np.zeros((m_bar, m_bar, m_bar, m))
-    grad_v = np.zeros((m_bar, m_bar, m_bar, m))
-    for i in range(1, m_bar + 1):
-        for j in range(i, m_bar + 1):
-            for k in range(1, m_bar + 1):
-                poly = theta.entries.get((i, j, k))
-                if poly is None:
-                    continue
-                gu = poly.u.gradient_at_zero()
-                gv = poly.v.gradient_at_zero()
-                grad_u[i - 1, j - 1, k - 1] = gu
-                grad_v[i - 1, j - 1, k - 1] = gv
-                grad_u[j - 1, i - 1, k - 1] = gu
-                grad_v[j - 1, i - 1, k - 1] = gv
-
-    return Tensor4(SpaceConfig(m_bar), linear_curvature_from_gradients(grad_u, grad_v))
+    grads = degree_one_gradients(theta)
+    return Tensor4(theta.config, linear_curvature_from_gradients(grads[0], grads[1]))
 
 
 def linear_curvature_from_gradients(grad_u: np.ndarray, grad_v: np.ndarray) -> np.ndarray:

@@ -21,16 +21,17 @@ J-even symmetric and antisymmetric parts respectively.
 """
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .connections import linear_curvature_from_gradients
+from .connections import ThetaField, degree_one_gradients, linear_curvature_from_gradients
 from .errors import DomainViolation, InternalCheckFailure
 from .linalg import Subspace, _rank_threshold, complement_within, kernel_within, orthonormalize
-from .polynomials import ComplexPoly
+from .polynomials import ComplexPoly, PolyScalar
 from .tensors import (
     DEFAULT_TOL,
     Bilinear2,
@@ -164,11 +165,60 @@ def _column_keys(m_bar: int) -> tuple[ColumnKey, ...]:
     return tuple(keys)
 
 
-def column_polynomial(m_bar: int, key: ColumnKey, value: float) -> ComplexPoly:
-    """The entry polynomial a parameter stands for: value times z_a or
-    conj(z_a), scaled by the real or the imaginary unit."""
-    base = ComplexPoly.z(m_bar, key.a) if key.kind == HOLOMORPHIC else ComplexPoly.z_bar(m_bar, key.a)
-    return base.scale(value, 0.0) if key.part == "re" else base.scale(0.0, value)
+#: Origin gradient of each unit parameter direction on its coordinate line a,
+#: ((du/dx_a, du/dy_a), (dv/dx_a, dv/dy_a)) for the entry u + i v: z_a, i z_a,
+#: conj(z_a) and i conj(z_a).  The four patterns are mutually orthogonal with
+#: squared norm 2.  This table is the only statement of the parametrization.
+_UNIT_GRADIENTS = {
+    (HOLOMORPHIC, "re"): ((1, 0), (0, 1)),
+    (HOLOMORPHIC, "im"): ((0, -1), (1, 0)),
+    (ANTIHOLOMORPHIC, "re"): ((1, 0), (0, -1)),
+    (ANTIHOLOMORPHIC, "im"): ((0, 1), (1, 0)),
+}
+
+
+def _unit_gradient_stack(m_bar: int, keys: tuple[ColumnKey, ...]) -> np.ndarray:
+    """Origin gradients of u and v of each unit parameter field.
+
+    Shape (len(keys), 2, m_bar, m_bar, m_bar, m), symmetric in the entry
+    indices i, j; index 1 selects u or v.
+    """
+    i, j, k, a = (np.array([key[field] for key in keys], dtype=int) - 1 for field in range(4))
+    pattern = np.array([_UNIT_GRADIENTS[key.kind, key.part] for key in keys], dtype=float)
+    stack = np.zeros((len(keys), 2, m_bar, m_bar, m_bar, 2 * m_bar))
+    col = np.arange(len(keys))
+    for rows, cols in ((i, j), (j, i)):
+        stack[col, :, rows, cols, k, a] = pattern[:, :, 0]
+        stack[col, :, rows, cols, k, m_bar + a] = pattern[:, :, 1]
+    return stack
+
+
+def theta_from_coefficients(
+    config: SpaceConfig, keys: tuple[ColumnKey, ...], coeffs: np.ndarray
+) -> ThetaField:
+    """Rebuild the degree-1, origin-vanishing field a parameter vector describes."""
+    m_bar = config.m_bar
+    grads = np.tensordot(np.asarray(coeffs, dtype=float), _unit_gradient_stack(m_bar, keys), axes=1)
+    units = [tuple(row) for row in np.eye(2 * m_bar, dtype=int)]
+
+    def linear(grad: np.ndarray) -> PolyScalar:
+        return PolyScalar(m_bar, dict(zip(units, grad)))
+
+    entries = {(key.i, key.j, key.k) for key in keys}
+    return ThetaField(
+        m_bar, {(i, j, k): ComplexPoly(*map(linear, grads[:, i - 1, j - 1, k - 1])) for i, j, k in entries}
+    )
+
+
+def _coefficients_of(theta: ThetaField, keys: tuple[ColumnKey, ...]) -> np.ndarray:
+    """The parameter vector of a degree-1, origin-vanishing field.
+
+    A projection: on the entries i <= j the unit gradient patterns are
+    mutually orthogonal with squared norm 2.
+    """
+    upper = np.triu(np.ones((theta.m_bar, theta.m_bar), dtype=bool))[:, :, None, None]
+    stack = _unit_gradient_stack(theta.m_bar, keys) * upper
+    return np.einsum("nuijkc,uijkc->n", stack, degree_one_gradients(theta)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -194,27 +244,36 @@ def _matrix_rank(mat: np.ndarray) -> int:
     return int(np.sum(svals > _rank_threshold(svals, mat.shape, None)))
 
 
-_map_cache: dict[int, CurvatureCoefficientMap] = {}
-_kahler_cache: dict[int, Subspace] = {}
-_parity_cache: dict[int, tuple[Subspace, Subspace]] = {}
-_w_cache: dict[int, dict[str, Subspace]] = {}
-_bilinear_cache: dict[int, dict[str, Subspace]] = {}
-# The one lock for every per-size cache.  Re-entrant: builders call each other
+# The one lock for every per-size memo.  Re-entrant: builders call each other
 # while holding it, which keeps construction at-most-once per size under
 # concurrency.
 _cache_lock = threading.RLock()
+_memos: list[dict] = []
+
+
+def _per_size(build):
+    """Memoize a builder of one SpaceConfig argument per m_bar, under the lock."""
+    memo: dict[int, object] = {}
+    _memos.append(memo)
+
+    @functools.wraps(build)
+    def cached(config: SpaceConfig):
+        with _cache_lock:
+            if config.m_bar not in memo:
+                memo[config.m_bar] = build(config)
+            return memo[config.m_bar]
+
+    return cached
 
 
 def clear_caches() -> None:
-    """Drop every per-size cache (used to time cold construction)."""
+    """Drop every per-size memo (used to time cold construction)."""
     with _cache_lock:
-        _map_cache.clear()
-        _kahler_cache.clear()
-        _parity_cache.clear()
-        _w_cache.clear()
-        _bilinear_cache.clear()
+        for memo in _memos:
+            memo.clear()
 
 
+@_per_size
 def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
     """The parameter-to-curvature matrix K is built from, assembled once per size.
 
@@ -224,36 +283,18 @@ def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
     and kahler_space_basis.
     """
     _require_decomposable(config.m_bar)
-    with _cache_lock:
-        cached = _map_cache.get(config.m_bar)
-        if cached is not None:
-            return cached
-        m_bar, m = config.m_bar, config.m
-        keys = _column_keys(m_bar)
-        # Only 4 m_bar distinct unit polynomials exist: one per (a, kind, part).
-        gradients: dict[tuple[int, str, str], tuple[np.ndarray, np.ndarray]] = {}
-        grad_u = np.zeros((len(keys), m_bar, m_bar, m_bar, m))
-        grad_v = np.zeros_like(grad_u)
-        for col, key in enumerate(keys):
-            unit = (key.a, key.kind, key.part)
-            if unit not in gradients:
-                poly = column_polynomial(m_bar, key, 1.0)
-                gradients[unit] = (poly.u.gradient_at_zero(), poly.v.gradient_at_zero())
-            gu, gv = gradients[unit]
-            for i, j in {(key.i, key.j), (key.j, key.i)}:
-                grad_u[col, i - 1, j - 1, key.k - 1] = gu
-                grad_v[col, i - 1, j - 1, key.k - 1] = gv
-        stack = linear_curvature_from_gradients(grad_u, grad_v)
-        worst = max(k_identity_violations(stack, config).values())
-        if worst > 1e-12:
-            raise InternalCheckFailure(f"a coefficient-map column violates the identities by {worst:.3e}")
-        cols = np.ascontiguousarray(stack.reshape(len(keys), -1).T)
-        cols.setflags(write=False)
-        built = CurvatureCoefficientMap(config=config, matrix=cols, columns=keys)
-        _map_cache[m_bar] = built
-        return built
+    keys = _column_keys(config.m_bar)
+    grads = _unit_gradient_stack(config.m_bar, keys)
+    stack = linear_curvature_from_gradients(grads[:, 0], grads[:, 1])
+    worst = max(k_identity_violations(stack, config).values())
+    if worst > 1e-12:
+        raise InternalCheckFailure(f"a coefficient-map column violates the identities by {worst:.3e}")
+    cols = np.ascontiguousarray(stack.reshape(len(keys), -1).T)
+    cols.setflags(write=False)
+    return CurvatureCoefficientMap(config=config, matrix=cols, columns=keys)
 
 
+@_per_size
 def kahler_parity_subspaces(config: SpaceConfig) -> tuple[Subspace, Subspace]:
     """(K+, K-): eigenspaces of full J-conjugation inside K.
 
@@ -263,30 +304,26 @@ def kahler_parity_subspaces(config: SpaceConfig) -> tuple[Subspace, Subspace]:
     up to the closed-form dim K, which together make them the two
     eigenspaces of K.
     """
-    with _cache_lock:
-        cached = _parity_cache.get(config.m_bar)
-        if cached is not None:
-            return cached
-        cmap = coefficient_map(config)
-        hol = cmap.column_mask(HOLOMORPHIC)
-        plus = orthonormalize(cmap.matrix[:, ~hol].T, tol=_RANK_TOL)
-        minus = orthonormalize(cmap.matrix[:, hol].T, tol=_RANK_TOL)
-        m = config.m
-        for label, sub, sign in (("K+", plus, 1.0), ("K-", minus, -1.0)):
-            rows = sub.basis.reshape(-1, m, m, m, m)
-            conj = apply_j_slots(rows, config, (1, 2, 3, 4))
-            gap = float(np.max(np.abs(conj - sign * rows)))
-            if gap > 1e-10:
-                raise InternalCheckFailure(f"{label} basis has the wrong J-parity by {gap:.3e}")
-        expected = kahler_space_dimension(config.m_bar)
-        if plus.dim + minus.dim != expected:
-            raise InternalCheckFailure(
-                f"dim K = {plus.dim} + {minus.dim} from the coefficient-map image, expected {expected}"
-            )
-        _parity_cache[config.m_bar] = (plus, minus)
-        return plus, minus
+    cmap = coefficient_map(config)
+    hol = cmap.column_mask(HOLOMORPHIC)
+    plus = orthonormalize(cmap.matrix[:, ~hol].T, tol=_RANK_TOL)
+    minus = orthonormalize(cmap.matrix[:, hol].T, tol=_RANK_TOL)
+    m = config.m
+    for label, sub, sign in (("K+", plus, 1.0), ("K-", minus, -1.0)):
+        rows = sub.basis.reshape(-1, m, m, m, m)
+        conj = apply_j_slots(rows, config, (1, 2, 3, 4))
+        gap = float(np.max(np.abs(conj - sign * rows)))
+        if gap > 1e-10:
+            raise InternalCheckFailure(f"{label} basis has the wrong J-parity by {gap:.3e}")
+    expected = kahler_space_dimension(config.m_bar)
+    if plus.dim + minus.dim != expected:
+        raise InternalCheckFailure(
+            f"dim K = {plus.dim} + {minus.dim} from the coefficient-map image, expected {expected}"
+        )
+    return plus, minus
 
 
+@_per_size
 def kahler_space_basis(config: SpaceConfig) -> Subspace:
     """Orthonormal basis of K inside R^(m^4): the K+ rows stacked over the K- rows.
 
@@ -295,15 +332,8 @@ def kahler_space_basis(config: SpaceConfig) -> Subspace:
     eigenspaces of an orthogonal involution, and Subspace re-checks that the
     stacked rows are orthonormal.
     """
-    _require_decomposable(config.m_bar)
-    with _cache_lock:
-        cached = _kahler_cache.get(config.m_bar)
-        if cached is not None:
-            return cached
-        plus, minus = kahler_parity_subspaces(config)
-        space = Subspace(plus.ambient_dim, np.vstack([plus.basis, minus.basis]))
-        _kahler_cache[config.m_bar] = space
-        return space
+    plus, minus = kahler_parity_subspaces(config)
+    return Subspace(plus.ambient_dim, np.vstack([plus.basis, minus.basis]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +380,7 @@ def _check_pairwise_orthogonal(spaces: dict[str, Subspace], tol: float) -> None:
                 )
 
 
+@_per_size
 def w_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
     """The twelve mutually orthogonal submodules of K, as concrete subspaces.
 
@@ -366,15 +397,6 @@ def w_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
     Dimensions and pairwise orthogonality are verified against the closed
     forms; any mismatch raises InternalCheckFailure.
     """
-    _require_decomposable(config.m_bar)
-    with _cache_lock:
-        cached = _w_cache.get(config.m_bar)
-        if cached is not None:
-            return cached
-        return _build_w_subspaces(config)
-
-
-def _build_w_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
     # Every module is carved in coordinates on the K- or K+ basis and lifted
     # to R^(m^4) once, at the end.
     m = config.m
@@ -430,8 +452,7 @@ def _build_w_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
         )
         for label in W_LABELS
     }
-    _check_pairwise_orthogonal(ordered, tol=1e-10)
-    _w_cache[config.m_bar] = ordered
+    _check_pairwise_orthogonal(ordered, 1e-10)
     return ordered
 
 
@@ -531,35 +552,30 @@ def bilinear_decompose(theta: Bilinear2) -> BilinearDecomposition:
     )
 
 
+@_per_size
 def bilinear_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
     """The six pieces of the bilinear space as concrete subspaces of R^(m^2)."""
-    with _cache_lock:
-        cached = _bilinear_cache.get(config.m_bar)
-        if cached is not None:
-            return cached
-        m = config.m
-        collected: dict[str, list[np.ndarray]] = {label: [] for label in BILINEAR_LABELS}
-        for a in range(m):
-            for b in range(m):
-                elem = np.zeros((m, m))
-                elem[a, b] = 1.0
-                split = bilinear_decompose(Bilinear2(config, elem))
-                for label, part in split.parts().items():
-                    collected[label].append(part.entries.reshape(-1))
-        out = {
-            label: orthonormalize(np.stack(rows), tol=_RANK_TOL, ambient_dim=m * m)
-            for label, rows in collected.items()
-        }
-        total = sum(space.dim for space in out.values())
-        if total != m * m:
-            raise InternalCheckFailure(f"bilinear pieces sum to {total}, expected {m * m}")
-        _bilinear_cache[config.m_bar] = out
-        return out
+    m = config.m
+    collected: dict[str, list[np.ndarray]] = {label: [] for label in BILINEAR_LABELS}
+    for a in range(m):
+        for b in range(m):
+            elem = np.zeros((m, m))
+            elem[a, b] = 1.0
+            split = bilinear_decompose(Bilinear2(config, elem))
+            for label, part in split.parts().items():
+                collected[label].append(part.entries.reshape(-1))
+    out = {
+        label: orthonormalize(np.stack(rows), tol=_RANK_TOL, ambient_dim=m * m)
+        for label, rows in collected.items()
+    }
+    total = sum(space.dim for space in out.values())
+    if total != m * m:
+        raise InternalCheckFailure(f"bilinear pieces sum to {total}, expected {m * m}")
+    return out
 
 
 def computed_dimension_table(config: SpaceConfig) -> DimensionTable:
     """Dimensions measured on the constructed subspaces (independent of the formulas)."""
-    _require_decomposable(config.m_bar)
     plus, minus = kahler_parity_subspaces(config)
     dims: dict[str, int] = {
         "K": kahler_space_basis(config).dim,

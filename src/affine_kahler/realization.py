@@ -28,20 +28,19 @@ from .connections import (
     torsion_residual,
 )
 from .decomposition import (
-    ANTIHOLOMORPHIC,
     HOLOMORPHIC,
-    ColumnKey,
     CurvatureCoefficientMap,
+    _coefficients_of,
     coefficient_map,
-    column_polynomial,
     kahler_parity_subspaces,
+    theta_from_coefficients,
 )
 from .errors import InternalCheckFailure
 from .linalg import least_squares_solve
-from .polynomials import ComplexPoly
 from .tensors import (
     DEFAULT_TOL,
     SpaceConfig,
+    SymmetryReport,
     Tensor4,
     classify_symmetries,
     j_parity_residuals,
@@ -51,21 +50,6 @@ from .tensors import (
 
 #: Relative residual bound for a successful realization.
 REALIZE_TOL = 1e-8
-
-
-def theta_from_coefficients(
-    config: SpaceConfig, keys: tuple[ColumnKey, ...], coeffs: np.ndarray
-) -> ThetaField:
-    """Rebuild the coefficient field described by a parameter vector."""
-    m_bar = config.m_bar
-    entries: dict[tuple[int, int, int], ComplexPoly] = {}
-    for key, value in zip(keys, coeffs):
-        if value == 0.0:
-            continue
-        term = column_polynomial(m_bar, key, value)
-        idx = (key.i, key.j, key.k)
-        entries[idx] = entries[idx] + term if idx in entries else term
-    return ThetaField(m_bar, entries)
 
 
 def curvature_coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
@@ -103,11 +87,10 @@ def verify_realization(tensor: Tensor4, theta: ThetaField) -> dict[str, float]:
     rebuilt connection, and the misfit of its origin curvature against the
     input.
     """
-    return _verification(tensor, connection_from_theta(theta))
+    return _verification(tensor, connection_from_theta(theta), classify_symmetries(tensor))
 
 
-def _verification(tensor: Tensor4, conn: AffineConnection) -> dict[str, float]:
-    report = classify_symmetries(tensor)
+def _verification(tensor: Tensor4, conn: AffineConnection, report: SymmetryReport) -> dict[str, float]:
     curv = curvature_at(conn, np.zeros(tensor.config.m))
     return {
         "input_in_k": max(report.violations[n] for n in ("antisym12", "bianchi1", "kahler_last2_1h")),
@@ -117,49 +100,37 @@ def _verification(tensor: Tensor4, conn: AffineConnection) -> dict[str, float]:
     }
 
 
-def realize(
-    tensor: Tensor4,
-    mode: str = "joint",
-    tol: float = DEFAULT_TOL,
-    point_rng: np.random.Generator | None = None,
-) -> RealizationResult:
+def realize(tensor: Tensor4, mode: str = "joint") -> RealizationResult:
     """Solve for a degree-1, origin-vanishing coefficient field with the
     prescribed curvature at the origin.
 
     ``joint`` solves over all parameter directions at once; ``split``
-    decomposes the input by J-parity, solves the odd part over holomorphic
-    directions and the even part over antiholomorphic ones, and adds the two
-    fields.  A residual above the tolerance is reported as an internal error
+    decomposes the input by J-parity and solves the odd part over the
+    holomorphic directions and the even part over the antiholomorphic ones.
+    Either way one parameter vector is filled and the field is built from it
+    once.  A residual above the tolerance is reported as an internal error
     since the parameter space is verified to span the whole admissible space.
 
-    The report also samples the curvature at five non-origin points and
+    The report also samples the curvature at five fixed non-origin points and
     records its distance from each parity eigenspace there (informational).
     """
-    require_in_k(tensor, tol=tol)
+    symmetries = require_in_k(tensor)
     if mode not in ("joint", "split"):
         raise ValueError(f"unknown mode {mode!r}")
     cmap = curvature_coefficient_map(tensor.config)
-    target = tensor.flatten()
 
     if mode == "joint":
-        coeffs, _ = least_squares_solve(cmap.matrix, target)
-        theta = theta_from_coefficients(tensor.config, cmap.columns, coeffs)
+        coeffs, _ = least_squares_solve(cmap.matrix, tensor.flatten())
     else:
-        plus, minus = j_parity_split(tensor, tol=tol)
-        hol_mask = cmap.column_mask(HOLOMORPHIC)
-        anti_mask = ~hol_mask
-        hol_coeffs, _ = least_squares_solve(cmap.matrix[:, hol_mask], minus.flatten())
-        anti_coeffs, _ = least_squares_solve(cmap.matrix[:, anti_mask], plus.flatten())
-        theta_hol = theta_from_coefficients(
-            tensor.config, tuple(k for k in cmap.columns if k.kind == HOLOMORPHIC), hol_coeffs
-        )
-        theta_anti = theta_from_coefficients(
-            tensor.config, tuple(k for k in cmap.columns if k.kind == ANTIHOLOMORPHIC), anti_coeffs
-        )
-        theta = theta_hol + theta_anti
+        plus, minus = j_parity_split(tensor)
+        hol = cmap.column_mask(HOLOMORPHIC)
+        coeffs = np.zeros(len(cmap.columns))
+        coeffs[hol], _ = least_squares_solve(cmap.matrix[:, hol], minus.flatten())
+        coeffs[~hol], _ = least_squares_solve(cmap.matrix[:, ~hol], plus.flatten())
+    theta = theta_from_coefficients(tensor.config, cmap.columns, coeffs)
 
     conn = connection_from_theta(theta)
-    report = _verification(tensor, conn)
+    report = _verification(tensor, conn, symmetries)
     scale = max(1.0, tensor.norm())
     residual = report["curvature_match"]
     verified = (
@@ -173,7 +144,7 @@ def realize(
             "the parameter space is supposed to span every admissible tensor"
         )
 
-    rng = point_rng if point_rng is not None else np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     odd_worst = even_worst = 0.0
     for _ in range(5):
         point = rng.uniform(-1.0, 1.0, size=tensor.config.m)
@@ -185,7 +156,7 @@ def realize(
 
     # A purely holomorphic field must keep its curvature odd at every point,
     # not only at the origin; for mixed fields the numbers are informational.
-    if holomorphy_type(theta).kind is HolomorphyKind.HOLOMORPHIC and even_worst > tol * scale:
+    if holomorphy_type(theta).kind is HolomorphyKind.HOLOMORPHIC and even_worst > DEFAULT_TOL * scale:
         raise InternalCheckFailure(
             f"holomorphic realization has even-parity curvature {even_worst:.3e} "
             "away from the origin"
@@ -204,29 +175,13 @@ def split_components(result: RealizationResult) -> tuple[ThetaField, ThetaField]
     """Separate a realization's field into holomorphic and antiholomorphic parts.
 
     Each entry polynomial of a degree-1 field splits uniquely into a z-linear
-    and a conj(z)-linear part; constants are absent since realizations vanish
-    at the origin.
+    and a conj(z)-linear part: the field's parameter vector, masked by kind.
     """
-    m_bar = result.theta.m_bar
-    hol_entries: dict[tuple[int, int, int], ComplexPoly] = {}
-    anti_entries: dict[tuple[int, int, int], ComplexPoly] = {}
-    for key, poly in result.theta.entries.items():
-        hol = ComplexPoly.zero(m_bar)
-        anti = ComplexPoly.zero(m_bar)
-        gu, gv = poly.u.gradient_at_zero(), poly.v.gradient_at_zero()
-        for a in range(1, m_bar + 1):
-            ux, uy = gu[a - 1], gu[m_bar + a - 1]
-            vx, vy = gv[a - 1], gv[m_bar + a - 1]
-            # c*z_a has (ux, uy, vx, vy) = (re, -im, im, re);
-            # c*conj(z_a) has (re, im, im, -re).
-            hol_re = (ux + vy) / 2.0
-            hol_im = (vx - uy) / 2.0
-            anti_re = (ux - vy) / 2.0
-            anti_im = (vx + uy) / 2.0
-            hol = hol + ComplexPoly.z(m_bar, a).scale(hol_re, hol_im)
-            anti = anti + ComplexPoly.z_bar(m_bar, a).scale(anti_re, anti_im)
-        if not hol.is_zero():
-            hol_entries[key] = hol
-        if not anti.is_zero():
-            anti_entries[key] = anti
-    return ThetaField(m_bar, hol_entries), ThetaField(m_bar, anti_entries)
+    config = result.theta.config
+    cmap = coefficient_map(config)
+    coeffs = _coefficients_of(result.theta, cmap.columns)
+    hol = cmap.column_mask(HOLOMORPHIC)
+    return (
+        theta_from_coefficients(config, cmap.columns, np.where(hol, coeffs, 0.0)),
+        theta_from_coefficients(config, cmap.columns, np.where(hol, 0.0, coeffs)),
+    )

@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .connections import ThetaField
-from .decomposition import kahler_parity_subspaces, kahler_space_basis
+from .decomposition import _column_keys, kahler_parity_subspaces, kahler_space_basis, theta_from_coefficients
 from .polynomials import ComplexPoly
 from .tensors import SpaceConfig, Tensor4
 
@@ -98,16 +98,7 @@ def random_antiholomorphic_theta(
 
 
 def random_degree_one_theta(config: SpaceConfig, rng: np.random.Generator) -> ThetaField:
-    """Random degree-1, origin-vanishing field mixing both coordinate kinds."""
-    m_bar = config.m_bar
-
-    def draw_entry() -> ComplexPoly:
-        total = ComplexPoly.zero(m_bar)
-        for a in range(1, m_bar + 1):
-            re, im = rng.standard_normal(2)
-            total = total + ComplexPoly.z(m_bar, a).scale(re, im)
-            re, im = rng.standard_normal(2)
-            total = total + ComplexPoly.z_bar(m_bar, a).scale(re, im)
-        return total
-
-    return _random_field(config, draw_entry)
+    """Random degree-1, origin-vanishing field mixing both coordinate kinds:
+    one standard normal per real parameter, drawn in parameter order."""
+    keys = _column_keys(config.m_bar)
+    return theta_from_coefficients(config, keys, rng.standard_normal(len(keys)))

@@ -322,11 +322,6 @@ def require_in_k(tensor: Tensor4, tol: float = DEFAULT_TOL) -> SymmetryReport:
     return report
 
 
-def j_conjugate(tensor: Tensor4) -> Tensor4:
-    """T A with (T A)(x, y, z, w) = A(Jx, Jy, Jz, Jw); exact involution."""
-    return Tensor4(tensor.config, apply_j_slots(tensor.entries, tensor.config, (0, 1, 2, 3)))
-
-
 def j_parity_split(tensor: Tensor4, tol: float = DEFAULT_TOL) -> tuple[Tensor4, Tensor4]:
     """Split A in K into its J-parity eigenparts (A_plus, A_minus).
 

@@ -25,10 +25,19 @@ from .connections import (
     connection_from_theta,
     curvature_at,
 )
-from .decomposition import W_LABELS, bilinear_decompose, w_project
+from .decomposition import (
+    ANTIHOLOMORPHIC,
+    HOLOMORPHIC,
+    W_LABELS,
+    ColumnKey,
+    _column_keys,
+    bilinear_decompose,
+    theta_from_coefficients,
+    w_project,
+)
 from .errors import DomainViolation
-from .polynomials import ComplexPoly, PolyScalar
-from .tensors import Bilinear2, Tensor4, TraceSet, j_parity_residuals, ricci_traces
+from .polynomials import PolyScalar
+from .tensors import Bilinear2, SpaceConfig, Tensor4, TraceSet, j_parity_residuals, ricci_traces
 
 #: Tolerance for projection-norm (membership) checks; value checks are exact.
 MEMBERSHIP_TOL = 1e-9
@@ -75,12 +84,14 @@ def _idx(label: str, m_bar: int) -> int:
 
 def _field(m_bar: int, terms: list[tuple]) -> ThetaField:
     """Sum of (entry, "z" | "zbar", line, re, im) terms: (re + i im) z_line or its conjugate."""
-    entries: dict[tuple[int, int, int], ComplexPoly] = {}
-    for key, kind, line, re, im in terms:
-        coord = ComplexPoly.z(m_bar, line) if kind == "z" else ComplexPoly.z_bar(m_bar, line)
-        term = coord.scale(re, im)
-        entries[key] = entries[key] + term if key in entries else term
-    return ThetaField(m_bar, entries)
+    keys = _column_keys(m_bar)
+    slot = {key: n for n, key in enumerate(keys)}
+    coeffs = np.zeros(len(keys))
+    for (i, j, k), coord, line, re, im in terms:
+        kind = HOLOMORPHIC if coord == "z" else ANTIHOLOMORPHIC
+        for part, value in (("re", re), ("im", im)):
+            coeffs[slot[ColumnKey(min(i, j), max(i, j), k, line, kind, part)]] += value
+    return theta_from_coefficients(SpaceConfig(m_bar), keys, coeffs)
 
 
 @dataclass(frozen=True)

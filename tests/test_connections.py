@@ -93,7 +93,6 @@ def test_degree_cap_is_enforced():
         big = big * ComplexPoly.z(2, 1)
     with pytest.raises(ValueError, match="degree"):
         ThetaField(2, {(1, 1, 1): big})
-    ThetaField(2, {(1, 1, 1): big}, degree_cap=7)  # configurable
 
 
 # -- curvature ------------------------------------------------------------------

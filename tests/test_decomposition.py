@@ -10,22 +10,25 @@ from affine_kahler.connections import ThetaField, linear_curvature_at_zero
 from affine_kahler.decomposition import (
     W_LABELS,
     ColumnKey,
+    _coefficients_of,
+    _column_keys,
     bilinear_decompose,
     bilinear_subspaces,
     clear_caches,
     coefficient_map,
-    column_polynomial,
     computed_dimension_table,
     kahler_parity_subspaces,
     kahler_space_basis,
     module_dimension_table,
     w_dimension_formulas,
     w_project,
+    theta_from_coefficients,
     w_subspaces,
 )
 from affine_kahler.errors import DomainViolation
 from affine_kahler.linalg import orthonormalize
-from affine_kahler.sampling import random_kahler_tensor
+from affine_kahler.polynomials import ComplexPoly
+from affine_kahler.sampling import random_degree_one_theta, random_kahler_tensor
 from affine_kahler.tensors import (
     Bilinear2,
     SpaceConfig,
@@ -119,7 +122,10 @@ def test_image_route_matches_constraint_kernel(m_bar):
 
 
 def _unit_theta(m_bar: int, key: ColumnKey) -> ThetaField:
-    return ThetaField(m_bar, {(key.i, key.j, key.k): column_polynomial(m_bar, key, 1.0)})
+    # built from the coordinate polynomials, independently of the gradient table
+    base = ComplexPoly.z(m_bar, key.a) if key.kind == "hol" else ComplexPoly.z_bar(m_bar, key.a)
+    unit = base.scale(1.0, 0.0) if key.part == "re" else base.scale(0.0, 1.0)
+    return ThetaField(m_bar, {(key.i, key.j, key.k): unit})
 
 
 @pytest.mark.parametrize("m_bar", [2, 3])
@@ -130,6 +136,46 @@ def test_batched_coefficient_map_equals_per_key_columns(m_bar):
         [linear_curvature_at_zero(_unit_theta(m_bar, key)).flatten() for key in cmap.columns], axis=1
     )
     assert np.array_equal(cmap.matrix, cols)
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_parameter_vector_survives_field_round_trip(m_bar, rng):
+    cfg = SpaceConfig(m_bar)
+    keys = _column_keys(m_bar)
+    coeffs = rng.standard_normal(len(keys))
+    theta = theta_from_coefficients(cfg, keys, coeffs)
+    back = _coefficients_of(theta, keys)
+    assert np.linalg.norm(back - coeffs) <= 1e-14 * np.linalg.norm(coeffs)
+    rebuilt = theta_from_coefficients(cfg, keys, back)
+    assert rebuilt.entries.keys() == theta.entries.keys()
+    for key, poly in theta.entries.items():
+        for part, again in ((poly.u, rebuilt.entries[key].u), (poly.v, rebuilt.entries[key].v)):
+            assert (part - again).max_abs_coeff() <= 1e-14 * part.max_abs_coeff()
+
+
+def _reference_degree_one_theta(cfg: SpaceConfig, rng: np.random.Generator) -> ThetaField:
+    # per entry (i <= j, k) and line a: (re + i im) z_a, then (re + i im) conj(z_a)
+    m_bar = cfg.m_bar
+    entries = {}
+    for i in range(1, m_bar + 1):
+        for j in range(i, m_bar + 1):
+            for k in range(1, m_bar + 1):
+                total = ComplexPoly.zero(m_bar)
+                for a in range(1, m_bar + 1):
+                    re, im = rng.standard_normal(2)
+                    total = total + ComplexPoly.z(m_bar, a).scale(re, im)
+                    re, im = rng.standard_normal(2)
+                    total = total + ComplexPoly.z_bar(m_bar, a).scale(re, im)
+                entries[(i, j, k)] = total
+    return ThetaField(m_bar, entries)
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_random_degree_one_theta_keeps_its_stream(m_bar, seed):
+    cfg = SpaceConfig(m_bar)
+    drawn = random_degree_one_theta(cfg, np.random.default_rng(seed))
+    assert drawn.entries == _reference_degree_one_theta(cfg, np.random.default_rng(seed)).entries
 
 
 def _projector_gap(a, b) -> float:
@@ -405,7 +451,9 @@ def test_cold_modules_and_coefficient_map_together_build_once(cfg2, monkeypatch)
         return wrapper
 
     monkeypatch.setattr(decomposition, "_column_keys", counted("columns", decomposition._column_keys))
-    monkeypatch.setattr(decomposition, "_build_w_subspaces", counted("modules", decomposition._build_w_subspaces))
+    monkeypatch.setattr(
+        decomposition, "_check_pairwise_orthogonal", counted("modules", decomposition._check_pairwise_orthogonal)
+    )
     decomposition.clear_caches()
     modules, maps = [], []
     threads = [threading.Thread(target=lambda: modules.append(w_subspaces(cfg2))) for _ in range(3)]

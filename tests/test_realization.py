@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -163,7 +167,7 @@ def test_verify_realization_reports_mismatch_without_raising(cfg2, rng):
 
 def test_offsite_parity_is_reported(cfg2, rng):
     tensor = random_kahler_tensor(cfg2, rng)
-    result = realize(tensor, mode="split", point_rng=np.random.default_rng(5))
+    result = realize(tensor, mode="split")
     assert "offsite_max_odd_part" in result.report
     assert "offsite_max_even_part" in result.report
 
@@ -176,3 +180,12 @@ def test_column_order_is_documented_and_stable(cfg2):
     assert (second.kind, second.part) == ("hol", "im")
     third = cmap.columns[2]
     assert (third.kind, third.part) == ("anti", "re")
+
+
+def test_realization_demo_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "realization_demo.py"
+    result = subprocess.run([sys.executable, str(script), "2", "0"], capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert any(line.endswith("type holomorphic") for line in lines)
+    assert any(line.endswith("type antiholomorphic") for line in lines)

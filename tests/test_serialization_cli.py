@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -260,3 +261,16 @@ def test_fixture_thetas_load():
     for fixture in sorted(FIXTURES.glob("theta_*.json")):
         theta = read_theta_file(fixture)
         assert theta.entries
+
+
+def test_fixtures_are_what_make_fixtures_builds(tmp_path):
+    spec = importlib.util.spec_from_file_location("make_fixtures", FIXTURES.parent / "scripts" / "make_fixtures.py")
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    built = make_fixtures.fixtures()
+    on_disk = sorted(path.name for pattern in ("theta_*.json", "tensor_*.json") for path in FIXTURES.glob(pattern))
+    assert sorted(built) == on_disk
+    for name, value in built.items():
+        write = write_theta_file if name.startswith("theta_") else write_tensor_file
+        write(tmp_path / name, value)
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
