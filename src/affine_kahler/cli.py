@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -147,6 +148,9 @@ def _cmd_curvature(args) -> int:
         coords = [float(part) for part in args.point.split(",")]
     except ValueError:
         print("point coordinates must be numbers", file=sys.stderr)
+        return EXIT_USAGE
+    if not all(math.isfinite(c) for c in coords):
+        print(f"point {args.point} has a non-finite coordinate", file=sys.stderr)
         return EXIT_USAGE
     if len(coords) != m:
         print(f"point needs {m} coordinates, got {len(coords)}", file=sys.stderr)

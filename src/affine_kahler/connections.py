@@ -6,9 +6,24 @@ Theta_{ijk} = u_{ijk} + i v_{ijk} (i, j, k in 1..m_bar, symmetric in i, j) by
     nabla_{e_i} e_j = -nabla_{f_i} f_j =  u_{ijk} e_k + v_{ijk} f_k,
     nabla_{f_i} e_j =  nabla_{e_i} f_j = -v_{ijk} e_k + u_{ijk} f_k,
 
-which is torsion free and parallelizes J by construction.  Curvature is
-evaluated exactly at any point from the symbolically differentiated
-Christoffel polynomials.
+which is torsion free and parallelizes J by construction.
+
+Polynomials on the Christoffel path are coefficient arrays over the
+monomials the field actually uses: one integer exponent matrix E (one row per
+monomial in x_1..x_mbar, y_1..y_mbar) and real coefficients along a last
+axis.  The field's u and v become arrays U, V of shape (m_bar, m_bar, m_bar,
+n_mon) (``ThetaField.arrays``); the Christoffel data is one array of shape
+(m, m, m, n_mon), the signed block scatter of U and V above.  Every
+Christoffel symbol receives exactly one signed copy of one coefficient, so
+assembly is exact.  So are the torsion and nabla-J residuals (differences of
+such copies) and the Cauchy-Riemann check (derivative coefficients, each one
+product coefficient * exponent, compared with == 0).  Curvature is evaluated
+exactly at any point from the Christoffel values and first derivatives
+there; a derivative is the same kind of array, its coefficients multiplied
+by the exponent and moved to the lowered monomial, built once per
+connection.  Equal polynomials have equal coefficient rows and evaluate to
+equal values, so the exact symmetries of the generated connections survive
+evaluation.
 """
 from __future__ import annotations
 
@@ -77,6 +92,34 @@ class ThetaField:
             merged[key] = merged[key] + poly if key in merged else poly
         return ThetaField(self.m_bar, merged)
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(U, V, E): the field as read-only coefficient arrays.
+
+        E (n_mon, 2 m_bar) lists the exponent vectors used by some entry, in
+        sorted order; U[i, j, k, n] and V[i, j, k, n] (0-based, symmetric in
+        i, j) are the coefficients of monomial n in u_{ijk} and v_{ijk}.
+        """
+        m_bar = self.m_bar
+        terms = [
+            (uv, i - 1, j - 1, k - 1, powers, value)
+            for (i, j, k), poly in self.entries.items()
+            for uv, part in enumerate((poly.u, poly.v))
+            for powers, value in part.coeffs.items()
+        ]
+        support = sorted({term[4] for term in terms})
+        arrays = np.zeros((2, m_bar, m_bar, m_bar, len(support)))
+        if terms:
+            index = {powers: n for n, powers in enumerate(support)}
+            uv, i, j, k, powers, values = zip(*terms)
+            n = [index[p] for p in powers]
+            arrays[uv, i, j, k, n] = values
+            arrays[uv, j, i, k, n] = values
+        exponents = np.array(support, dtype=np.int64).reshape(len(support), 2 * m_bar)
+        for arr in (arrays, exponents):
+            arr.setflags(write=False)
+        return arrays[0], arrays[1], exponents
+
     def max_degree(self) -> int:
         return max((p.degree() for p in self.entries.values()), default=0)
 
@@ -113,28 +156,43 @@ class HolomorphyType:
     vanishes_at_origin: bool
 
 
+def _partials(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact first partials of the polynomials sum_n coeffs[..., n] x^exponents[n].
+
+    Returns (lowered, partials): ``lowered`` is the sorted exponent matrix of
+    every monomial some partial lands on, and partials[d, ..., t] is the
+    coefficient of lowered[t] in the derivative along coordinate d.  Each is
+    one product coefficient * exponent: no two monomials lower onto the same
+    one along the same coordinate.
+    """
+    var, mono = np.nonzero(exponents.T)
+    lowered = exponents[mono].copy()
+    lowered[np.arange(len(mono)), var] -= 1
+    targets, where = np.unique(lowered, axis=0, return_inverse=True)
+    out = np.zeros((exponents.shape[1], len(targets)) + coeffs.shape[:-1])
+    out[var, where.reshape(-1)] = np.moveaxis(coeffs[..., mono] * exponents[mono, var], -1, 0)
+    return targets, np.moveaxis(out, 1, -1)
+
+
+def _monomial_values(point: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    return np.prod(point ** exponents, axis=-1)
+
+
 def holomorphy_type(theta: ThetaField) -> HolomorphyType:
     """Classify a coefficient field by its Cauchy-Riemann behaviour.
 
-    All checks are exact polynomial identities: holomorphic requires
-    du/dx_a = dv/dy_a and du/dy_a = -dv/dx_a per entry and coordinate line;
-    antiholomorphic flips both signs.  Constant fields satisfy both systems.
+    All checks are exact polynomial identities on the coefficient arrays:
+    holomorphic requires du/dx_a = dv/dy_a and du/dy_a = -dv/dx_a per entry
+    and coordinate line; antiholomorphic flips both signs.  Constant fields
+    satisfy both systems.
     """
     m_bar = theta.m_bar
-    hol = True
-    anti = True
-    for poly in theta.entries.values():
-        for a in range(m_bar):
-            du_x = poly.u.diff(a)
-            du_y = poly.u.diff(m_bar + a)
-            dv_x = poly.v.diff(a)
-            dv_y = poly.v.diff(m_bar + a)
-            if not ((du_x - dv_y).is_zero() and (du_y + dv_x).is_zero()):
-                hol = False
-            if not ((du_x + dv_y).is_zero() and (du_y - dv_x).is_zero()):
-                anti = False
-        if not (hol or anti):
-            break
+    U, V, E = theta.arrays
+    du, dv = _partials(np.stack([U, V]), E)[1].swapaxes(0, 1)
+    du_x, du_y = du[:m_bar], du[m_bar:]
+    dv_x, dv_y = dv[:m_bar], dv[m_bar:]
+    hol = not ((du_x - dv_y).any() or (du_y + dv_x).any())
+    anti = not ((du_x + dv_y).any() or (du_y - dv_x).any())
     if hol and anti:
         kind = HolomorphyKind.BOTH
     elif hol:
@@ -148,97 +206,80 @@ def holomorphy_type(theta: ThetaField) -> HolomorphyType:
 
 @dataclass(frozen=True)
 class AffineConnection:
-    """Christoffel polynomials Gamma[a][b][c]: nabla_{v_a} v_b = sum_c Gamma[a][b][c] v_c.
+    """Christoffel polynomials nabla_{v_a} v_b = sum_c Gamma[a][b][c] v_c, as arrays.
 
-    Stored sparsely; absent triples are the zero polynomial.
+    Gamma[a][b][c] = sum_n coeffs[a, b, c, n] * x^exponents[n], with
+    ``exponents`` of shape (n_mon, m) and ``coeffs`` of shape (m, m, m, n_mon).
+    Both are stored as read-only copies.
     """
 
     config: SpaceConfig
-    gamma: dict[tuple[int, int, int], PolyScalar]
+    exponents: np.ndarray
+    coeffs: np.ndarray
 
     def __post_init__(self) -> None:
         m = self.config.m
-        cleaned = {}
-        for (a, b, c), poly in dict(self.gamma).items():
-            if not (0 <= a < m and 0 <= b < m and 0 <= c < m):
-                raise ValueError(f"Christoffel index ({a},{b},{c}) out of range")
-            if not poly.is_zero():
-                cleaned[(a, b, c)] = poly
-        object.__setattr__(self, "gamma", cleaned)
+        exponents = np.array(self.exponents, dtype=np.int64)
+        coeffs = np.array(self.coeffs, dtype=float)
+        if exponents.ndim != 2 or exponents.shape[1] != m or np.any(exponents < 0):
+            raise ValueError(f"exponents must be a non-negative (n_mon, {m}) integer matrix")
+        if coeffs.shape != (m, m, m, len(exponents)):
+            raise ValueError(f"coeffs must have shape {(m, m, m, len(exponents))}, got {coeffs.shape}")
+        for arr in (exponents, coeffs):
+            arr.setflags(write=False)
+        object.__setattr__(self, "exponents", exponents)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def christoffel(self, a: int, b: int, c: int) -> PolyScalar:
-        return self.gamma.get((a, b, c), PolyScalar.zero(self.config.m_bar))
+        """Gamma[a][b][c] as a polynomial (for displays and tests)."""
+        powers = map(tuple, self.exponents.tolist())
+        return PolyScalar(self.config.m_bar, dict(zip(powers, self.coeffs[a, b, c].tolist())))
 
     @cached_property
-    def _derivatives(self) -> dict[tuple[int, int, int], list[PolyScalar]]:
-        m = self.config.m
-        return {
-            key: [poly.diff(direction) for direction in range(m)]
-            for key, poly in self.gamma.items()
-        }
+    def _derivative(self) -> tuple[np.ndarray, np.ndarray]:
+        """(lowered, dcoeffs): d_i Gamma[a][b][c] = sum_t dcoeffs[i, a, b, c, t] x^lowered[t]."""
+        return _partials(self.coeffs, self.exponents)
 
     def evaluate(self, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Dense Gamma values and first derivatives at a point.
 
         Returns (G, dG) with G[a, b, c] = Gamma[a][b][c](p) and
-        dG[i, a, b, c] = d_i Gamma[a][b][c](p).
+        dG[i, a, b, c] = d_i Gamma[a][b][c](p).  Every polynomial is summed
+        along its own coefficient row in the same order, so equal (or
+        negated) polynomials evaluate to equal (or negated) values, as in the
+        exact symmetries of the generated connections.
         """
         m = self.config.m
         point = np.asarray(point, dtype=float)
         if point.shape != (m,):
             raise ValueError(f"point must have {m} coordinates, got shape {point.shape}")
-        values = np.zeros((m, m, m))
-        derivs = np.zeros((m, m, m, m))
-        for (a, b, c), poly in self.gamma.items():
-            values[a, b, c] = poly.eval(point)
-            for direction, dpoly in enumerate(self._derivatives[(a, b, c)]):
-                if not dpoly.is_zero():
-                    derivs[direction, a, b, c] = dpoly.eval(point)
+        lowered, dcoeffs = self._derivative
+        values = (self.coeffs * _monomial_values(point, self.exponents)).sum(axis=-1)
+        derivs = (dcoeffs * _monomial_values(point, lowered)).sum(axis=-1)
         return values, derivs
 
 
 def connection_from_theta(theta: ThetaField) -> AffineConnection:
-    """Assemble the Christoffel polynomials of the generated connection."""
+    """Assemble the Christoffel data as the signed block scatter of U and V."""
     m_bar = theta.m_bar
-    gamma: dict[tuple[int, int, int], PolyScalar] = {}
-
-    def add(a: int, b: int, c: int, poly: PolyScalar) -> None:
-        if poly.is_zero():
-            return
-        key = (a, b, c)
-        gamma[key] = gamma[key] + poly if key in gamma else poly
-
-    for (i, j, k), poly in theta.entries.items():
-        u, v = poly.u, poly.v
-        ei, fi = i - 1, m_bar + i - 1
-        ej, fj = j - 1, m_bar + j - 1
-        ek, fk = k - 1, m_bar + k - 1
-        pairs = [(ei, ej)] if i == j else [(ei, ej), (ej, ei)]
-        for a, b in pairs:
-            fa, fb = a + m_bar, b + m_bar
-            add(a, b, ek, u)          # nabla_{e} e = u e_k + v f_k
-            add(a, b, fk, v)
-            add(fa, fb, ek, -1.0 * u)  # nabla_{f} f = -(u e_k + v f_k)
-            add(fa, fb, fk, -1.0 * v)
-            add(a, fb, ek, -1.0 * v)   # nabla_{e} f = -v e_k + u f_k
-            add(a, fb, fk, u)
-            add(fa, b, ek, -1.0 * v)   # nabla_{f} e agrees with nabla_{e} f
-            add(fa, b, fk, u)
-    return AffineConnection(SpaceConfig(m_bar), gamma)
+    U, V, E = theta.arrays
+    e, f = slice(0, m_bar), slice(m_bar, 2 * m_bar)
+    coeffs = np.zeros((2 * m_bar,) * 3 + (len(E),))
+    coeffs[e, e, e] = U           # nabla_{e} e = u e_k + v f_k
+    coeffs[e, e, f] = V
+    coeffs[f, f, e] = -U          # nabla_{f} f = -(u e_k + v f_k)
+    coeffs[f, f, f] = -V
+    coeffs[e, f, e] = -V          # nabla_{e} f = -v e_k + u f_k
+    coeffs[e, f, f] = U
+    coeffs[f, e, e] = -V          # nabla_{f} e agrees with nabla_{e} f
+    coeffs[f, e, f] = U
+    return AffineConnection(theta.config, E, coeffs)
 
 
 def torsion_residual(conn: AffineConnection) -> float:
     """Largest coefficient of Gamma[a][b][c] - Gamma[b][a][c] over all triples."""
-    worst = 0.0
-    seen = set()
-    for (a, b, c) in conn.gamma:
-        key = (min(a, b), max(a, b), c)
-        if key in seen:
-            continue
-        seen.add(key)
-        diff = conn.christoffel(a, b, c) - conn.christoffel(b, a, c)
-        worst = max(worst, diff.max_abs_coeff())
-    return worst
+    coeffs = conn.coeffs
+    return float(np.max(np.abs(coeffs - coeffs.swapaxes(0, 1)), initial=0.0))
 
 
 def nabla_j_residual(conn: AffineConnection) -> float:
@@ -247,21 +288,13 @@ def nabla_j_residual(conn: AffineConnection) -> float:
     With constant J the component d of (nabla_a J)(v_b) reduces to
     sgn(b) Gamma[a][Jb][d] - sgn(Jd) Gamma[a][b][Jd], a signed index shuffle.
     """
-    config = conn.config
-    perm, signs = config.j_action()
-    m = config.m
-    worst = 0.0
-    slots = {(a, b) for (a, b, _c) in conn.gamma}
-    slots |= {(a, int(perm[b])) for (a, b) in slots}
-    for a, b in slots:
-        for d in range(m):
-            jb = int(perm[b])
-            jd = int(perm[d])
-            poly = signs[b] * conn.christoffel(a, jb, d) - signs[jd] * conn.christoffel(
-                a, b, jd
-            )
-            worst = max(worst, poly.max_abs_coeff())
-    return worst
+    perm, signs = conn.config.j_action()
+    coeffs = conn.coeffs
+    shuffled = (
+        signs[:, None, None] * coeffs[:, perm]
+        - signs[perm][:, None] * coeffs[:, :, perm]
+    )
+    return float(np.max(np.abs(shuffled), initial=0.0))
 
 
 def curvature_at(conn: AffineConnection, point: np.ndarray) -> Tensor4:

@@ -42,9 +42,9 @@ from .tensors import (
     SpaceConfig,
     SymmetryReport,
     Tensor4,
+    _parity_parts,
     classify_symmetries,
     j_parity_residuals,
-    j_parity_split,
     require_in_k,
 )
 
@@ -122,7 +122,7 @@ def realize(tensor: Tensor4, mode: str = "joint") -> RealizationResult:
     if mode == "joint":
         coeffs, _ = least_squares_solve(cmap.matrix, tensor.flatten())
     else:
-        plus, minus = j_parity_split(tensor)
+        plus, minus = _parity_parts(tensor)
         hol = cmap.column_mask(HOLOMORPHIC)
         coeffs = np.zeros(len(cmap.columns))
         coeffs[hol], _ = least_squares_solve(cmap.matrix[:, hol], minus.flatten())

@@ -5,13 +5,14 @@ consumer (tests, the self-test harness, demos) is reproducible from a seed.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .connections import ThetaField
 from .decomposition import _column_keys, kahler_parity_subspaces, kahler_space_basis, theta_from_coefficients
-from .polynomials import ComplexPoly
+from .polynomials import ComplexPoly, PolyScalar
 from .tensors import SpaceConfig, Tensor4
 
 
@@ -39,37 +40,65 @@ def _z_monomials(m_bar: int, max_degree: int, include_constant: bool):
         yield from combinations_with_replacement(range(1, m_bar + 1), degree)
 
 
-def _random_power_series(
-    m_bar: int,
-    rng: np.random.Generator,
-    max_degree: int,
-    conjugate: bool,
-    include_constant: bool,
-) -> ComplexPoly:
+@lru_cache(maxsize=None)
+def _unit_terms(m_bar: int, max_degree: int, conjugate: bool, include_constant: bool):
+    """The unit monomials of a random power series, in draw order.
+
+    Returns (support, units): units[0, t, n] and units[1, t, n] are the
+    coefficients of the real monomial support[n] in the real and imaginary
+    parts of the t-th product of z (or conj z) lines, all small integers.
+    """
     factor = ComplexPoly.z_bar if conjugate else ComplexPoly.z
-    total = ComplexPoly.zero(m_bar)
+    terms = []
     for lines in _z_monomials(m_bar, max_degree, include_constant):
         term = ComplexPoly.constant(m_bar, 1.0)
         for line in lines:
             term = term * factor(m_bar, line)
-        re, im = rng.standard_normal(2)
-        total = total + term.scale(re, im)
-    return total
+        terms.append((term.u.coeffs, term.v.coeffs))
+    support = tuple(sorted({powers for parts in terms for coeffs in parts for powers in coeffs}))
+    index = {powers: n for n, powers in enumerate(support)}
+    units = np.zeros((2, len(terms), len(support)))
+    for t, parts in enumerate(terms):
+        for uv, coeffs in enumerate(parts):
+            for powers, value in coeffs.items():
+                units[uv, t, index[powers]] = value
+    units.setflags(write=False)
+    return support, units
 
 
-def _random_field(config: SpaceConfig, draw_entry) -> ThetaField:
-    """A coefficient field with one independent ``draw_entry()`` per entry
-    (i <= j), drawn in entry order."""
+def _random_power_series_field(
+    config: SpaceConfig,
+    rng: np.random.Generator,
+    max_degree: int,
+    conjugate: bool,
+    include_constant: bool,
+) -> ThetaField:
+    """A coefficient field whose entries (i <= j) are power series with one
+    independent complex standard normal per unit monomial, drawn in entry
+    order, then monomial order, real part first.
+
+    Each scaled term is added in monomial order, so every coefficient is the
+    same float expression as a sum of scaled ``ComplexPoly`` terms.
+    """
     m_bar = config.m_bar
-    return ThetaField(
-        m_bar,
-        {
-            (i, j, k): draw_entry()
-            for i in range(1, m_bar + 1)
-            for j in range(i, m_bar + 1)
-            for k in range(1, m_bar + 1)
-        },
-    )
+    support, units = _unit_terms(m_bar, max_degree, conjugate, include_constant)
+    keys = [
+        (i, j, k)
+        for i in range(1, m_bar + 1)
+        for j in range(i, m_bar + 1)
+        for k in range(1, m_bar + 1)
+    ]
+    re, im = np.moveaxis(rng.standard_normal((len(keys), units.shape[1], 2)), -1, 0)
+    u = np.zeros((len(keys), len(support)))
+    v = np.zeros((len(keys), len(support)))
+    for t, (unit_u, unit_v) in enumerate(units.swapaxes(0, 1)):
+        u = u + (re[:, t, None] * unit_u - im[:, t, None] * unit_v)
+        v = v + (im[:, t, None] * unit_u + re[:, t, None] * unit_v)
+
+    def poly(row: np.ndarray) -> PolyScalar:
+        return PolyScalar(m_bar, dict(zip(support, row.tolist())))
+
+    return ThetaField(m_bar, {key: ComplexPoly(poly(u[n]), poly(v[n])) for n, key in enumerate(keys)})
 
 
 def random_holomorphic_theta(
@@ -79,9 +108,7 @@ def random_holomorphic_theta(
     include_constant: bool = True,
 ) -> ThetaField:
     """Random coefficient field whose entries are polynomials in the z lines only."""
-    return _random_field(
-        config, lambda: _random_power_series(config.m_bar, rng, max_degree, False, include_constant)
-    )
+    return _random_power_series_field(config, rng, max_degree, False, include_constant)
 
 
 def random_antiholomorphic_theta(
@@ -92,9 +119,7 @@ def random_antiholomorphic_theta(
 ) -> ThetaField:
     """Random coefficient field in the conjugate lines; by default it vanishes
     at the origin."""
-    return _random_field(
-        config, lambda: _random_power_series(config.m_bar, rng, max_degree, True, include_constant)
-    )
+    return _random_power_series_field(config, rng, max_degree, True, include_constant)
 
 
 def random_degree_one_theta(config: SpaceConfig, rng: np.random.Generator) -> ThetaField:

@@ -332,6 +332,11 @@ def j_parity_split(tensor: Tensor4, tol: float = DEFAULT_TOL) -> tuple[Tensor4, 
     the defining identities.
     """
     require_in_k(tensor, tol=tol)
+    return _parity_parts(tensor)
+
+
+def _parity_parts(tensor: Tensor4) -> tuple[Tensor4, Tensor4]:
+    """(A_plus, A_minus) by full J conjugation, for a tensor already known to be in K."""
     conj = apply_j_slots(tensor.entries, tensor.config, (0, 1, 2, 3))
     plus = Tensor4(tensor.config, (tensor.entries + conj) / 2.0)
     minus = Tensor4(tensor.config, (tensor.entries - conj) / 2.0)

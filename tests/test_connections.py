@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import christoffel_oracle as oracle
 from affine_kahler.connections import (
+    DEGREE_CAP,
     AffineConnection,
     HolomorphyKind,
     ThetaField,
@@ -41,7 +43,7 @@ def y_var(m_bar: int, line: int, coeff: float = 1.0) -> PolyScalar:
 
 def test_connection_zero_theta_is_flat(cfg2):
     conn = connection_from_theta(ThetaField.zero(2))
-    assert not conn.gamma
+    assert not conn.coeffs.any()
     assert curvature_at(conn, np.zeros(4)).norm() == 0.0
 
 
@@ -76,14 +78,14 @@ def test_generated_connections_are_torsion_free_and_parallelize_j(rng):
 
 def test_torsion_residual_detects_asymmetry():
     gamma = {(0, 1, 0): PolyScalar.constant(2, 1.0)}
-    conn = AffineConnection(SpaceConfig(2), gamma)
+    conn = AffineConnection(SpaceConfig(2), *oracle.arrays_from_gamma(gamma, 2))
     assert torsion_residual(conn) == 1.0
 
 
 def test_nabla_j_residual_detects_non_kahler_data():
     # A single constant Gamma[e1][e1][e1] = 1 cannot commute with J.
     gamma = {(0, 0, 0): PolyScalar.constant(2, 1.0)}
-    conn = AffineConnection(SpaceConfig(2), gamma)
+    conn = AffineConnection(SpaceConfig(2), *oracle.arrays_from_gamma(gamma, 2))
     assert nabla_j_residual(conn) > 0.0
 
 
@@ -252,6 +254,110 @@ def test_curvature_in_k_at_generic_points(rng):
     for _ in range(5):
         report = classify_symmetries(curvature_at(conn, random_point(cfg, rng)))
         assert report.in_K
+
+
+# -- array route against the dict oracle ------------------------------------------
+
+FIELD_KINDS = {
+    "hol": HolomorphyKind.HOLOMORPHIC,
+    "anti": HolomorphyKind.ANTIHOLOMORPHIC,
+    "both": HolomorphyKind.BOTH,
+    "neither": HolomorphyKind.NEITHER,
+}
+
+
+def random_mixed_theta(m_bar: int, rng: np.random.Generator, kind: str, dyadic: bool) -> ThetaField:
+    """Sparse random field of one Cauchy-Riemann kind, degrees up to the cap.
+
+    Every entry gets a random constant; 'both' stops there.  Otherwise each
+    entry gains one or two random monomials z^alpha conj(z)^beta, scaled by a
+    random complex number: z factors only for 'hol', conj(z) only for 'anti',
+    at least one of each for 'neither'.  Dyadic coefficients (quarters in
+    [-2, 2]) keep every Cauchy-Riemann identity exact in floating point;
+    normal ones can break one at rounding level, for both routes alike.
+    """
+    def coefficient() -> tuple[float, float]:
+        return tuple(rng.integers(-8, 9, size=2) / 4.0) if dyadic else tuple(rng.standard_normal(2))
+
+    entries = {}
+    for i in range(1, m_bar + 1):
+        for j in range(i, m_bar + 1):
+            for k in range(1, m_bar + 1):
+                poly = ComplexPoly.constant(m_bar, *coefficient())
+                for _ in range(0 if kind == "both" else int(rng.integers(1, 3))):
+                    degree = int(rng.integers(1 if kind != "neither" else 2, DEGREE_CAP + 1))
+                    conj = {"hol": [False], "anti": [True], "neither": [False, True]}[kind]
+                    conj = conj + [conj[-1] if kind != "neither" else bool(rng.integers(2))
+                                   for _ in range(degree - len(conj))]
+                    term = ComplexPoly.constant(m_bar, 1.0)
+                    for bar in conj:
+                        line = int(rng.integers(1, m_bar + 1))
+                        term = term * (ComplexPoly.z_bar if bar else ComplexPoly.z)(m_bar, line)
+                    poly = poly + term.scale(*coefficient())
+                entries[(i, j, k)] = poly
+    return ThetaField(m_bar, entries)
+
+
+def random_gamma(m_bar: int, rng: np.random.Generator) -> dict:
+    """Random Christoffel polynomials with no symmetry at all."""
+    m = 2 * m_bar
+    gamma = {}
+    for _ in range(12):
+        key = tuple(int(x) for x in rng.integers(0, m, size=3))
+        powers = tuple(int(x) for x in rng.integers(0, 3, size=m))
+        gamma[key] = PolyScalar(m_bar, {powers: rng.standard_normal()}) + PolyScalar.constant(
+            m_bar, rng.standard_normal()
+        )
+    return gamma
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_array_route_matches_dict_oracle_on_mixed_fields(m_bar):
+    rng = np.random.default_rng(90 + m_bar)
+    cfg = SpaceConfig(m_bar)
+    for kind, expected in FIELD_KINDS.items():
+        for dyadic in (True, False):
+            theta = random_mixed_theta(m_bar, rng, kind, dyadic)
+            assert theta.max_degree() <= DEGREE_CAP
+            assert holomorphy_type(theta).kind is oracle.holomorphy_kind(theta)
+            if dyadic:
+                assert holomorphy_type(theta).kind is expected
+
+            conn = connection_from_theta(theta)
+            gamma = oracle.gamma_from_theta(theta)
+            assert torsion_residual(conn) == oracle.torsion_residual(gamma, m_bar) == 0.0
+            assert nabla_j_residual(conn) == oracle.nabla_j_residual(gamma, m_bar) == 0.0
+
+            origin = np.zeros(cfg.m)
+            at_origin = curvature_at(conn, origin).entries
+            assert np.array_equal(at_origin, oracle.curvature_at(gamma, m_bar, origin))
+            for _ in range(2):
+                point = random_point(cfg, rng)
+                got = curvature_at(conn, point).entries
+                want = oracle.curvature_at(gamma, m_bar, point)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_residuals_and_curvature_match_dict_oracle_on_generic_data(m_bar):
+    # Christoffel data with no symmetry: both residuals are nonzero and must
+    # equal the oracle's polynomial coefficients exactly.
+    rng = np.random.default_rng(70 + m_bar)
+    cfg = SpaceConfig(m_bar)
+    for _ in range(5):
+        gamma = random_gamma(m_bar, rng)
+        conn = AffineConnection(cfg, *oracle.arrays_from_gamma(gamma, m_bar))
+        torsion = torsion_residual(conn)
+        nabla_j = nabla_j_residual(conn)
+        assert torsion > 0.0 and nabla_j > 0.0
+        assert torsion == oracle.torsion_residual(gamma, m_bar)
+        assert nabla_j == oracle.nabla_j_residual(gamma, m_bar)
+        for a, b, c in gamma:
+            assert conn.christoffel(a, b, c).coeffs == gamma[(a, b, c)].coeffs
+        point = random_point(cfg, rng)
+        got = curvature_at(conn, point).entries
+        want = oracle.curvature_at(gamma, m_bar, point)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # -- witness traces through the connection layer ------------------------------------

@@ -116,6 +116,26 @@ def test_realize_known_degree_one_source(cfg2, rng):
     assert result.residual <= 1e-10 * max(1.0, target.norm())
 
 
+@pytest.mark.parametrize("mode", ["joint", "split"])
+def test_realize_classifies_its_input_once(cfg3, rng, monkeypatch, mode):
+    import affine_kahler.realization as realization_module
+    import affine_kahler.tensors as tensors_module
+
+    tensor = random_kahler_tensor(cfg3, rng)
+    realize(tensor, mode=mode)  # warm: every per-size build is cached
+    calls = []
+    original = tensors_module.classify_symmetries
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (tensors_module, realization_module):
+        monkeypatch.setattr(module, "classify_symmetries", counted)
+    realize(tensor, mode=mode)
+    assert len(calls) == 1
+
+
 def test_realize_rejects_non_admissible(cfg2):
     bad = np.zeros((4, 4, 4, 4))
     bad[0, 0, 0, 0] = 1.0

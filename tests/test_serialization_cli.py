@@ -204,6 +204,23 @@ def test_cli_curvature_rejects_bad_point(tmp_path, capsys):
     assert run_cli("curvature", "--theta", str(theta_path), "--point", "1,2,3") == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_curvature_rejects_non_finite_point(tmp_path, bad):
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps({"m_bar": 2, "entries": []}), encoding="utf-8")
+    point = f"{bad},0,0,0"
+    done = subprocess.run(
+        [sys.executable, "-m", "affine_kahler", "curvature", "--theta", str(theta_path), f"--point={point}"],
+        capture_output=True,
+        text=True,
+        cwd=str(FIXTURES.parent),
+    )
+    assert done.returncode == 2
+    assert point in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stdout == ""
+
+
 def test_cli_paper_examples_table(capsys):
     assert run_cli("paper-examples", "--case", "4.1.1", "--rho", "1,1") == 0
     out = capsys.readouterr().out
