@@ -63,10 +63,18 @@ def _write_report(path: str | None, payload: dict) -> None:
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
 
 
+def _option_error(args) -> str | None:
+    """The first option value that parsed but lies outside its range."""
+    if args.command in ("dims", "selftest") and args.mbar < 2:
+        return f"--mbar must be at least 2, got {args.mbar}"
+    if args.command == "selftest" and args.trials < 1:
+        return f"--trials must be at least 1, got {args.trials}"
+    if args.command in ("check", "decompose") and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        return f"--tol must be a finite number >= 0, got {args.tol}"
+    return None
+
+
 def _cmd_dims(args) -> int:
-    if args.mbar < 2:
-        print("dims requires m_bar >= 2", file=sys.stderr)
-        return EXIT_USAGE
     closed = module_dimension_table(args.mbar).dims
     computed = computed_dimension_table(SpaceConfig(args.mbar)).dims
     rows = []
@@ -173,6 +181,10 @@ def _cmd_paper_examples(args) -> int:
         except ValueError:
             print("rho values must be numbers", file=sys.stderr)
             return EXIT_USAGE
+        n_rho = len(CASES[args.case].default_rho)
+        if len(rho) != n_rho:
+            print(f"--rho: case {args.case} takes {n_rho} parameter(s), got {len(rho)}", file=sys.stderr)
+            return EXIT_USAGE
     case = run_witness_case(args.case, rho=rho, m_bar=args.mbar)
     for check in case.checks:
         print(f"{check.name} {_fmt(check.expected)} {_fmt(check.computed)} {'OK' if check.ok else 'FAIL'}")
@@ -200,9 +212,6 @@ def _cmd_paper_examples(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    if args.trials < 1:
-        print("trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     report = run_selftest(args.mbar, args.trials, args.seed)
     print(report.render())
     _write_report(
@@ -279,6 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _option_error(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except SchemaViolation as exc:

@@ -8,12 +8,14 @@ Theta_{ijk} = u_{ijk} + i v_{ijk} (i, j, k in 1..m_bar, symmetric in i, j) by
 
 which is torsion free and parallelizes J by construction.
 
-Polynomials on the Christoffel path are coefficient arrays over the
-monomials the field actually uses: one integer exponent matrix E (one row per
-monomial in x_1..x_mbar, y_1..y_mbar) and real coefficients along a last
-axis.  The field's u and v become arrays U, V of shape (m_bar, m_bar, m_bar,
-n_mon) (``ThetaField.arrays``); the Christoffel data is one array of shape
-(m, m, m, n_mon), the signed block scatter of U and V above.  Every
+Polynomials are coefficient arrays over the monomials the field actually
+uses: one integer exponent matrix E (one row per monomial in x_1..x_mbar,
+y_1..y_mbar) and real coefficients along a last axis.  A field is stored as
+its u and v arrays U, V of shape (m_bar, m_bar, m_bar, n_mon) over E
+(``ThetaField.arrays``), from parsed files and solved parameter vectors
+alike; its ``ComplexPoly`` entries are built only for the callers that read
+them.  The Christoffel data is one array of shape (m, m, m, n_mon), the
+signed block scatter of U and V above.  Every
 Christoffel symbol receives exactly one signed copy of one coefficient, so
 assembly is exact.  So are the torsion and nabla-J residuals (differences of
 such copies) and the Cauchy-Riemann check (derivative coefficients, each one
@@ -57,19 +59,85 @@ def _normalize_entries(m_bar: int, entries) -> dict[EntryKey, ComplexPoly]:
     return {key: poly for key, poly in sorted(out.items()) if not poly.is_zero()}
 
 
-@dataclass(frozen=True)
+def arrays_from_terms(m_bar: int, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, V, E) of a field given as (uv, i, j, k, powers, value) terms.
+
+    uv is 0 for u and 1 for v, the entry indices are 0-based with i <= j,
+    and each (uv, i, j, k, powers) appears once.  E lists the powers in
+    sorted order; the degree cap is checked before they become integers.
+    """
+    terms = list(terms)
+    support = sorted({term[4] for term in terms})
+    _require_degree_cap(max(map(sum, support), default=0))
+    arrays = np.zeros((2, m_bar, m_bar, m_bar, len(support)))
+    if terms:
+        index = {powers: n for n, powers in enumerate(support)}
+        uv, i, j, k, powers, values = zip(*terms)
+        n = [index[p] for p in powers]
+        arrays[uv, i, j, k, n] = values
+        arrays[uv, j, i, k, n] = values
+    return arrays[0], arrays[1], np.array(support, dtype=np.int64).reshape(len(support), 2 * m_bar)
+
+
+def _require_degree_cap(degree: int) -> None:
+    if degree > DEGREE_CAP:
+        raise ValueError(f"coefficient degree {degree} exceeds the cap {DEGREE_CAP}")
+
+
 class ThetaField:
-    """Symmetric complex coefficient field; keys are (i, j, k) with i <= j."""
+    """Symmetric complex coefficient field Theta_{ijk} = u_{ijk} + i v_{ijk}.
 
-    m_bar: int
-    entries: dict[EntryKey, ComplexPoly]
+    Stored as the coefficient arrays ``arrays`` = (U, V, E): E (n_mon,
+    2 m_bar) lists the exponent vectors some entry uses, in sorted order, and
+    U[i, j, k, n] and V[i, j, k, n] (0-based, symmetric in i, j) are the
+    coefficients of monomial n in u_{ijk} and v_{ijk}.  All three are
+    read-only, and equal fields hold bit-identical arrays.  ``entries``, the
+    same field as one ComplexPoly per key (i, j, k) with i <= j, is built
+    only when read.
+    """
 
-    def __post_init__(self) -> None:
-        entries = _normalize_entries(self.m_bar, self.entries)
-        worst = max((p.degree() for p in entries.values()), default=0)
-        if worst > DEGREE_CAP:
-            raise ValueError(f"coefficient degree {worst} exceeds the cap {DEGREE_CAP}")
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, m_bar: int, entries) -> None:
+        terms = (
+            (uv, i - 1, j - 1, k - 1, powers, value)
+            for (i, j, k), poly in _normalize_entries(m_bar, entries).items()
+            for uv, part in enumerate((poly.u, poly.v))
+            for powers, value in part.coeffs.items()
+        )
+        self._store(m_bar, *arrays_from_terms(m_bar, terms))
+
+    @classmethod
+    def from_arrays(cls, m_bar: int, U, V, E) -> "ThetaField":
+        """The field with u_{ijk} = sum_n U[i-1, j-1, k-1, n] x^E[n], v likewise.
+
+        U and V must be symmetric in their first two axes and the rows of E
+        distinct.  Monomials with no nonzero coefficient are dropped and the
+        rest sorted, so the arrays equal those of the same field built from
+        entries.
+        """
+        field = cls.__new__(cls)
+        field._store(m_bar, U, V, E)
+        return field
+
+    def _store(self, m_bar: int, U, V, E) -> None:
+        U, V = np.asarray(U, dtype=float), np.asarray(V, dtype=float)
+        E = np.asarray(E, dtype=np.int64)
+        shape = (m_bar,) * 3 + E.shape[:1]
+        if E.ndim != 2 or E.shape[1] != 2 * m_bar or np.any(E < 0) or U.shape != shape or V.shape != shape:
+            raise ValueError(f"coefficient arrays must have shapes {shape} and (n_mon, {2 * m_bar})")
+        if not all(np.array_equal(arr, arr.swapaxes(0, 1), equal_nan=True) for arr in (U, V)):
+            raise ValueError("coefficient arrays must be symmetric in i, j")
+        used = np.flatnonzero(np.any(U != 0, axis=(0, 1, 2)) | np.any(V != 0, axis=(0, 1, 2)))
+        order = used[np.lexsort(E[used].T[::-1])]
+        E = E[order]
+        if np.any(np.all(E[1:] == E[:-1], axis=1)):
+            raise ValueError("exponent rows must be distinct")
+        _require_degree_cap(int(E.sum(axis=1).max(initial=0)))
+        # Adding 0.0 turns -0.0 into 0.0, the only zero the entry route stores.
+        arrays = (U[..., order] + 0.0, V[..., order] + 0.0, E)
+        for arr in arrays:
+            arr.setflags(write=False)
+        self.m_bar = m_bar
+        self.arrays = arrays
 
     @property
     def config(self) -> SpaceConfig:
@@ -78,6 +146,31 @@ class ThetaField:
     @classmethod
     def zero(cls, m_bar: int) -> "ThetaField":
         return cls(m_bar, {})
+
+    @cached_property
+    def entries(self) -> dict[EntryKey, ComplexPoly]:
+        m_bar = self.m_bar
+        U, V, E = self.arrays
+        powers = [tuple(row) for row in E.tolist()]
+
+        def poly(row: np.ndarray) -> PolyScalar:
+            return PolyScalar(m_bar, dict(zip(powers, row.tolist())))
+
+        upper = np.triu(np.ones((m_bar, m_bar), dtype=bool))[:, :, None]
+        used = upper & (np.any(U != 0, axis=-1) | np.any(V != 0, axis=-1))
+        return {
+            (i + 1, j + 1, k + 1): ComplexPoly(poly(U[i, j, k]), poly(V[i, j, k]))
+            for i, j, k in np.argwhere(used).tolist()
+        }
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ThetaField):
+            return NotImplemented
+        return self.m_bar == other.m_bar and all(
+            np.array_equal(mine, theirs) for mine, theirs in zip(self.arrays, other.arrays)
+        )
+
+    __hash__ = None
 
     def entry(self, i: int, j: int, k: int) -> ComplexPoly:
         """Theta_{ijk}, resolving the i <-> j symmetry; absent entries are zero."""
@@ -92,42 +185,12 @@ class ThetaField:
             merged[key] = merged[key] + poly if key in merged else poly
         return ThetaField(self.m_bar, merged)
 
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(U, V, E): the field as read-only coefficient arrays.
-
-        E (n_mon, 2 m_bar) lists the exponent vectors used by some entry, in
-        sorted order; U[i, j, k, n] and V[i, j, k, n] (0-based, symmetric in
-        i, j) are the coefficients of monomial n in u_{ijk} and v_{ijk}.
-        """
-        m_bar = self.m_bar
-        terms = [
-            (uv, i - 1, j - 1, k - 1, powers, value)
-            for (i, j, k), poly in self.entries.items()
-            for uv, part in enumerate((poly.u, poly.v))
-            for powers, value in part.coeffs.items()
-        ]
-        support = sorted({term[4] for term in terms})
-        arrays = np.zeros((2, m_bar, m_bar, m_bar, len(support)))
-        if terms:
-            index = {powers: n for n, powers in enumerate(support)}
-            uv, i, j, k, powers, values = zip(*terms)
-            n = [index[p] for p in powers]
-            arrays[uv, i, j, k, n] = values
-            arrays[uv, j, i, k, n] = values
-        exponents = np.array(support, dtype=np.int64).reshape(len(support), 2 * m_bar)
-        for arr in (arrays, exponents):
-            arr.setflags(write=False)
-        return arrays[0], arrays[1], exponents
-
     def max_degree(self) -> int:
-        return max((p.degree() for p in self.entries.values()), default=0)
+        return int(self.arrays[2].sum(axis=1).max(initial=0))
 
     def vanishes_at_origin(self) -> bool:
-        return all(
-            p.u.constant_term() == 0.0 and p.v.constant_term() == 0.0
-            for p in self.entries.values()
-        )
+        # E lists only monomials with a nonzero coefficient; the constant one is all zeros.
+        return bool(np.all(np.any(self.arrays[2], axis=1)))
 
     def swap_complex_coordinates(self, a: int, b: int) -> "ThetaField":
         """Interchange the roles of complex coordinate lines a and b (1-based):
@@ -314,18 +377,18 @@ def curvature_at(conn: AffineConnection, point: np.ndarray) -> Tensor4:
 def degree_one_gradients(theta: ThetaField) -> np.ndarray:
     """Origin gradients of u_{ijk} and v_{ijk}, shape (2, m_bar, m_bar, m_bar, m).
 
-    Scattered symmetrically in i, j.  Valid only for degree <= 1 fields
-    vanishing at the origin, which such gradients determine completely.
+    Symmetric in i, j.  Valid only for degree <= 1 fields vanishing at the
+    origin, which such gradients determine completely: every monomial is
+    then one coordinate.
     """
     if theta.max_degree() > 1:
         raise ValueError("coefficient field must have degree <= 1")
     if not theta.vanishes_at_origin():
         raise ValueError("coefficient field must vanish at the origin")
     m_bar = theta.m_bar
+    U, V, E = theta.arrays
     grads = np.zeros((2, m_bar, m_bar, m_bar, 2 * m_bar))
-    for (i, j, k), poly in theta.entries.items():
-        for uv, part in enumerate((poly.u, poly.v)):
-            grads[uv, i - 1, j - 1, k - 1] = grads[uv, j - 1, i - 1, k - 1] = part.gradient_at_zero()
+    grads[..., E.argmax(axis=1)] = np.stack([U, V])
     return grads
 
 

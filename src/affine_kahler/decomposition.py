@@ -31,7 +31,6 @@ import numpy as np
 from .connections import ThetaField, degree_one_gradients, linear_curvature_from_gradients
 from .errors import DomainViolation, InternalCheckFailure
 from .linalg import Subspace, _rank_threshold, complement_within, kernel_within, orthonormalize
-from .polynomials import ComplexPoly, PolyScalar
 from .tensors import (
     DEFAULT_TOL,
     Bilinear2,
@@ -196,18 +195,16 @@ def _unit_gradient_stack(m_bar: int, keys: tuple[ColumnKey, ...]) -> np.ndarray:
 def theta_from_coefficients(
     config: SpaceConfig, keys: tuple[ColumnKey, ...], coeffs: np.ndarray
 ) -> ThetaField:
-    """Rebuild the degree-1, origin-vanishing field a parameter vector describes."""
+    """Rebuild the degree-1, origin-vanishing field a parameter vector describes.
+
+    Its coefficient arrays are the origin gradients over the 2 m_bar
+    coordinate monomials, each entry i <= j mirrored to (j, i).
+    """
     m_bar = config.m_bar
     grads = np.tensordot(np.asarray(coeffs, dtype=float), _unit_gradient_stack(m_bar, keys), axes=1)
-    units = [tuple(row) for row in np.eye(2 * m_bar, dtype=int)]
-
-    def linear(grad: np.ndarray) -> PolyScalar:
-        return PolyScalar(m_bar, dict(zip(units, grad)))
-
-    entries = {(key.i, key.j, key.k) for key in keys}
-    return ThetaField(
-        m_bar, {(i, j, k): ComplexPoly(*map(linear, grads[:, i - 1, j - 1, k - 1])) for i, j, k in entries}
-    )
+    upper = np.triu(np.ones((m_bar, m_bar), dtype=bool))[:, :, None, None]
+    grads = np.where(upper, grads, grads.swapaxes(1, 2))
+    return ThetaField.from_arrays(m_bar, grads[0], grads[1], np.eye(2 * m_bar, dtype=np.int64))
 
 
 def _coefficients_of(theta: ThetaField, keys: tuple[ColumnKey, ...]) -> np.ndarray:

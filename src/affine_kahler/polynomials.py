@@ -112,29 +112,10 @@ class PolyScalar:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        """Total degree; the zero polynomial reports 0."""
-        if not self.coeffs:
-            return 0
-        return max(sum(powers) for powers in self.coeffs)
-
-    def constant_term(self) -> float:
-        return self.coeffs.get((0,) * (2 * self.m_bar), 0.0)
-
     def max_abs_coeff(self) -> float:
         if not self.coeffs:
             return 0.0
         return max(abs(v) for v in self.coeffs.values())
-
-    def gradient_at_zero(self) -> np.ndarray:
-        """Coefficients of the degree-1 monomials, one per coordinate."""
-        n_vars = 2 * self.m_bar
-        grad = np.zeros(n_vars)
-        for var in range(n_vars):
-            powers = [0] * n_vars
-            powers[var] = 1
-            grad[var] = self.coeffs.get(tuple(powers), 0.0)
-        return grad
 
     def permute_complex_coordinates(self, perm: dict[int, int]) -> "PolyScalar":
         """Relabel complex coordinate lines: z_i -> z_perm[i] (1-based keys).
@@ -214,5 +195,3 @@ class ComplexPoly:
     def is_zero(self) -> bool:
         return self.u.is_zero() and self.v.is_zero()
 
-    def degree(self) -> int:
-        return max(self.u.degree(), self.v.degree())

@@ -4,16 +4,22 @@ The degree-1, origin-vanishing coefficient fields form a finite-dimensional
 real parameter space: each entry Theta_{ijk} (i <= j) contributes, per
 complex coordinate line a, a holomorphic direction c * z_a and an
 antiholomorphic direction c * conj(z_a), each with a real and an imaginary
-unit coefficient.  Curvature at the origin is linear in these parameters, so
-realization reduces to a (minimum-norm) least-squares solve against the
-assembled column matrix.  The holomorphic / antiholomorphic column subsets
-span exactly the odd / even J-parity parts, and together the whole admissible
-space: the decomposition layer builds K- and K+ as these spans and K as the
-stack of their orthonormal bases, and verifies this once per size.
+unit coefficient.  Curvature at the origin is linear in these parameters.
+The holomorphic / antiholomorphic column blocks C- / C+ of that map span
+exactly the odd / even J-parity parts K- / K+, and together the whole
+admissible space: the decomposition layer builds K- and K+ as these spans,
+with orthonormal bases B- / B+, and verifies this once per size.
+
+Realization is the minimum-norm solve against the map.  Since K- and K+ are
+orthogonal it splits into one solve per block, and since each block is
+C = B^T M with M = B C, it reads coeffs = M^+ (B target) in K+/K- coordinates.
+The two small pseudo-inverses M^+ are built once per size and cached; numpy's
+``lstsq`` on the same blocks is the test oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,15 +34,17 @@ from .connections import (
     torsion_residual,
 )
 from .decomposition import (
+    ANTIHOLOMORPHIC,
     HOLOMORPHIC,
     CurvatureCoefficientMap,
     _coefficients_of,
+    _per_size,
     coefficient_map,
     kahler_parity_subspaces,
     theta_from_coefficients,
 )
 from .errors import InternalCheckFailure
-from .linalg import least_squares_solve
+from .linalg import pseudo_inverse, require_finite_solution
 from .tensors import (
     DEFAULT_TOL,
     SpaceConfig,
@@ -62,6 +70,54 @@ def curvature_coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
     """
     kahler_parity_subspaces(config)
     return coefficient_map(config)
+
+
+class _ParityBlock(NamedTuple):
+    """One parity block of the minimum-norm solve."""
+
+    columns: np.ndarray  # mask of the coefficient-map columns of one kind
+    basis: np.ndarray  # orthonormal rows of the parity part those columns span
+    pinv: np.ndarray  # pseudo-inverse of basis @ (the columns)
+
+
+@_per_size
+def _parity_solver(config: SpaceConfig) -> tuple[_ParityBlock, _ParityBlock]:
+    """The (K+, K-) blocks of the minimum-norm solve, built once per size.
+
+    Each block's rank is decided with the cutoff ``lstsq`` applies to its
+    m^4-row column block and must equal dim K+ (antiholomorphic columns) or
+    dim K- (holomorphic columns).
+    """
+    cmap = curvature_coefficient_map(config)
+    blocks = []
+    for kind, space in zip((ANTIHOLOMORPHIC, HOLOMORPHIC), kahler_parity_subspaces(config)):
+        columns = cmap.column_mask(kind)
+        block = cmap.matrix[:, columns]
+        pinv, rank = pseudo_inverse(space.basis @ block, block.shape)
+        if rank != space.dim:
+            raise InternalCheckFailure(f"the {kind} columns have rank {rank}, expected {space.dim}")
+        blocks.append(_ParityBlock(columns, space.basis, pinv))
+    return tuple(blocks)
+
+
+def _solve_coefficients(tensor: Tensor4, mode: str) -> np.ndarray:
+    """The minimum-norm parameter vector realizing ``tensor`` at the origin.
+
+    ``joint`` solves both blocks against the tensor; ``split`` solves the
+    antiholomorphic block against its even part and the holomorphic block
+    against its odd part.  For a tensor in K both give the same vector.
+    """
+    if mode == "joint":
+        even = odd = tensor.flatten()
+    else:
+        plus, minus = _parity_parts(tensor)
+        even, odd = plus.flatten(), minus.flatten()
+    blocks = _parity_solver(tensor.config)
+    coeffs = np.zeros(len(blocks[0].columns))
+    for block, target in zip(blocks, (even, odd)):
+        coeffs[block.columns] = block.pinv @ (block.basis @ target)
+    require_finite_solution(coeffs)
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -118,16 +174,7 @@ def realize(tensor: Tensor4, mode: str = "joint") -> RealizationResult:
     if mode not in ("joint", "split"):
         raise ValueError(f"unknown mode {mode!r}")
     cmap = curvature_coefficient_map(tensor.config)
-
-    if mode == "joint":
-        coeffs, _ = least_squares_solve(cmap.matrix, tensor.flatten())
-    else:
-        plus, minus = _parity_parts(tensor)
-        hol = cmap.column_mask(HOLOMORPHIC)
-        coeffs = np.zeros(len(cmap.columns))
-        coeffs[hol], _ = least_squares_solve(cmap.matrix[:, hol], minus.flatten())
-        coeffs[~hol], _ = least_squares_solve(cmap.matrix[:, ~hol], plus.flatten())
-    theta = theta_from_coefficients(tensor.config, cmap.columns, coeffs)
+    theta = theta_from_coefficients(tensor.config, cmap.columns, _solve_coefficients(tensor, mode))
 
     conn = connection_from_theta(theta)
     report = _verification(tensor, conn, symmetries)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .connections import ThetaField
 from .decomposition import _column_keys, kahler_parity_subspaces, kahler_space_basis, theta_from_coefficients
-from .polynomials import ComplexPoly, PolyScalar
+from .polynomials import ComplexPoly
 from .tensors import SpaceConfig, Tensor4
 
 
@@ -95,10 +95,10 @@ def _random_power_series_field(
         u = u + (re[:, t, None] * unit_u - im[:, t, None] * unit_v)
         v = v + (im[:, t, None] * unit_u + re[:, t, None] * unit_v)
 
-    def poly(row: np.ndarray) -> PolyScalar:
-        return PolyScalar(m_bar, dict(zip(support, row.tolist())))
-
-    return ThetaField(m_bar, {key: ComplexPoly(poly(u[n]), poly(v[n])) for n, key in enumerate(keys)})
+    arrays = np.zeros((2, m_bar, m_bar, m_bar, len(support)))
+    for n, (i, j, k) in enumerate(keys):
+        arrays[:, i - 1, j - 1, k - 1] = arrays[:, j - 1, i - 1, k - 1] = u[n], v[n]
+    return ThetaField.from_arrays(m_bar, arrays[0], arrays[1], np.array(support, dtype=np.int64))
 
 
 def random_holomorphic_theta(

@@ -12,9 +12,9 @@ import json
 import math
 from pathlib import Path
 
-from .connections import ThetaField
+from .connections import ThetaField, arrays_from_terms
 from .errors import SchemaViolation
-from .polynomials import ComplexPoly, PolyScalar
+from .polynomials import PolyScalar
 from .tensors import SpaceConfig, Tensor4
 
 
@@ -72,9 +72,9 @@ def _poly_to_records(poly: PolyScalar) -> list[dict]:
     ]
 
 
-def _poly_from_records(m_bar: int, records, what: str) -> PolyScalar:
+def _add_records(sums: dict, uv: int, key: tuple[int, int, int], records, m_bar: int, what: str) -> None:
+    """Add one polynomial's monomial records to ``sums``, in file order."""
     _require(isinstance(records, list), f"{what} must be a list of monomial records")
-    coeffs = {}
     for record in records:
         _require(isinstance(record, dict), f"{what} records must be objects")
         _require("coeff" in record and "powers" in record, f"{what} records need coeff and powers")
@@ -92,9 +92,8 @@ def _poly_from_records(m_bar: int, records, what: str) -> PolyScalar:
             all(isinstance(p, int) and p >= 0 for p in powers),
             f"{what} exponents must be nonnegative integers",
         )
-        key = tuple(powers)
-        coeffs[key] = coeffs.get(key, 0.0) + float(coeff)
-    return PolyScalar(m_bar, coeffs)
+        term = (uv, *key, tuple(powers))
+        sums[term] = sums.get(term, 0.0) + float(coeff)
 
 
 def theta_to_payload(theta: ThetaField) -> dict:
@@ -116,7 +115,7 @@ def theta_from_payload(payload: dict) -> ThetaField:
     _require("entries" in payload, "missing field entries")
     records = payload["entries"]
     _require(isinstance(records, list), "entries must be a list")
-    entries = {}
+    sums: dict[tuple, float] = {}
     seen = set()
     for record in records:
         _require(isinstance(record, dict), "each entry must be an object")
@@ -131,11 +130,10 @@ def theta_from_payload(payload: dict) -> ThetaField:
         _require(1 <= k <= m_bar, "entry index k must satisfy 1 <= k <= m_bar")
         _require((i, j, k) not in seen, f"duplicate entry ({i},{j},{k})")
         seen.add((i, j, k))
-        entries[(i, j, k)] = ComplexPoly(
-            _poly_from_records(m_bar, record["u"], "u"),
-            _poly_from_records(m_bar, record["v"], "v"),
-        )
-    return ThetaField(m_bar, entries)
+        for uv, what in enumerate(("u", "v")):
+            _add_records(sums, uv, (i - 1, j - 1, k - 1), record[what], m_bar, what)
+    terms = [(*term, value) for term, value in sums.items() if value != 0.0]
+    return ThetaField.from_arrays(m_bar, *arrays_from_terms(m_bar, terms))
 
 
 def write_theta_file(path: str | Path, theta: ThetaField) -> None:

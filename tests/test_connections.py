@@ -97,6 +97,44 @@ def test_degree_cap_is_enforced():
         ThetaField(2, {(1, 1, 1): big})
 
 
+def test_array_constructor_matches_the_entry_route_bit_for_bit():
+    # shuffled monomials, an unused one and signed zeros canonicalize away
+    entries = {
+        (1, 2, 1): ComplexPoly(x_var(2, 1, 0.75) * y_var(2, 2), y_var(2, 1, -1.5)),
+        (2, 2, 2): ComplexPoly.z_bar(2, 2),
+    }
+    theta = ThetaField(2, entries)
+    U, V, E = theta.arrays
+    order = np.arange(len(E))[::-1]
+    unused = np.full((2, 2, 2, 1), -0.0)
+    signed = lambda arr: np.where(arr == 0.0, -0.0, arr)  # noqa: E731
+    rebuilt = ThetaField.from_arrays(
+        2,
+        np.concatenate([signed(U)[..., order], unused], axis=-1),
+        np.concatenate([signed(V)[..., order], unused], axis=-1),
+        np.vstack([E[order], [[0, 0, 3, 0]]]),
+    )
+    assert rebuilt == theta
+    assert all(mine.tobytes() == theirs.tobytes() for mine, theirs in zip(rebuilt.arrays, theta.arrays))
+    assert rebuilt.entries == theta.entries
+    assert (rebuilt.max_degree(), rebuilt.vanishes_at_origin()) == (2, True)
+
+
+def test_array_constructor_rejects_malformed_arrays():
+    U = np.zeros((2, 2, 2, 2))
+    U[0, 1, 0, 0] = 1.0
+    E = np.array([[1, 0, 0, 0], [0, 1, 0, 0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        ThetaField.from_arrays(2, U, np.zeros_like(U), E)
+    U[1, 0, 0, 0] = U[0, 1, 0, 1] = U[1, 0, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="distinct"):
+        ThetaField.from_arrays(2, U, U, np.array([[1, 0, 0, 0], [1, 0, 0, 0]]))
+    with pytest.raises(ValueError, match="degree"):
+        ThetaField.from_arrays(2, U, U, np.array([[DEGREE_CAP + 1, 0, 0, 0], [0, 1, 0, 0]]))
+    with pytest.raises(ValueError, match="shapes"):
+        ThetaField.from_arrays(2, U, U, E[:, :3])
+
+
 # -- curvature ------------------------------------------------------------------
 
 def test_curvature_of_flat_connection_everywhere_zero(rng):

@@ -208,8 +208,9 @@ def test_coordinate_modules_match_ambient_oracle(m_bar):
 
 
 def test_rank_decisions_keep_wide_margins(monkeypatch):
-    # every singular-value decision of the cold build at m_bar = 2, 3, 4
-    from affine_kahler import linalg
+    # every singular-value decision of the cold build at m_bar = 2, 3, 4,
+    # the realization solver's included
+    from affine_kahler import linalg, realization
 
     threshold = linalg._rank_threshold
     decisions = []
@@ -223,6 +224,9 @@ def test_rank_decisions_keep_wide_margins(monkeypatch):
     clear_caches()
     for m_bar in (2, 3, 4):
         computed_dimension_table(SpaceConfig(m_bar))
+        before = len(decisions)
+        realization._parity_solver(SpaceConfig(m_bar))
+        assert len(decisions) == before + 2  # one per parity block
     assert decisions
     for svals, cutoff in decisions:
         kept, dropped = svals[svals > cutoff], svals[svals <= cutoff]

@@ -54,11 +54,6 @@ def test_diff_lowers_degree():
     assert poly.diff(3).is_zero()
 
 
-def test_gradient_at_zero_reads_linear_part():
-    poly = PolyScalar(M_BAR, {(1, 0, 0, 0): 2.0, (0, 0, 1, 0): -3.0, (2, 0, 0, 0): 7.0})
-    assert poly.gradient_at_zero().tolist() == [2.0, 0.0, -3.0, 0.0]
-
-
 def test_permute_complex_coordinates_swaps_lines():
     poly = PolyScalar(M_BAR, {(1, 0, 0, 0): 1.0, (0, 0, 2, 0): 5.0})  # x1 + 5 y1^2
     swapped = poly.permute_complex_coordinates({1: 2, 2: 1})

@@ -15,7 +15,9 @@ from affine_kahler.connections import (
 )
 from affine_kahler.decomposition import kahler_parity_subspaces, kahler_space_basis
 from affine_kahler.errors import DomainViolation
+from affine_kahler.linalg import least_squares_solve
 from affine_kahler.realization import (
+    _solve_coefficients,
     curvature_coefficient_map,
     realize,
     split_components,
@@ -28,6 +30,7 @@ from affine_kahler.tensors import (
     Tensor4,
     classify_symmetries,
     j_parity_residuals,
+    j_parity_split,
 )
 from affine_kahler.witnesses import witness_theta
 
@@ -134,6 +137,49 @@ def test_realize_classifies_its_input_once(cfg3, rng, monkeypatch, mode):
         monkeypatch.setattr(module, "classify_symmetries", counted)
     realize(tensor, mode=mode)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["joint", "split"])
+@pytest.mark.parametrize("m_bar", [2, 3, 4])
+def test_solver_matches_lstsq_oracle(m_bar, mode):
+    # the cached pseudo-inverses against a fresh lstsq of the same column blocks
+    cfg = SpaceConfig(m_bar)
+    tensor = random_kahler_tensor(cfg, np.random.default_rng(m_bar))
+    cmap = curvature_coefficient_map(cfg)
+    if mode == "joint":
+        expected, _ = least_squares_solve(cmap.matrix, tensor.flatten())
+    else:
+        plus, minus = j_parity_split(tensor)
+        hol = cmap.column_mask("hol")
+        expected = np.zeros(len(cmap.columns))
+        expected[hol], _ = least_squares_solve(cmap.matrix[:, hol], minus.flatten())
+        expected[~hol], _ = least_squares_solve(cmap.matrix[:, ~hol], plus.flatten())
+    coeffs = _solve_coefficients(tensor, mode)
+    assert np.linalg.norm(coeffs - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_warm_realize_runs_no_lstsq_and_builds_no_polynomials(cfg3, rng, monkeypatch):
+    from affine_kahler.polynomials import PolyScalar
+
+    tensor = random_kahler_tensor(cfg3, rng)
+    for mode in ("joint", "split"):
+        realize(tensor, mode=mode)  # warm: every per-size build is cached
+    counts = {"lstsq": 0, "PolyScalar": 0}
+    lstsq, post_init = np.linalg.lstsq, PolyScalar.__post_init__
+
+    def counted_lstsq(*args, **kwargs):
+        counts["lstsq"] += 1
+        return lstsq(*args, **kwargs)
+
+    def counted_post_init(self):
+        counts["PolyScalar"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    monkeypatch.setattr(PolyScalar, "__post_init__", counted_post_init)
+    for mode in ("joint", "split"):
+        assert realize(tensor, mode=mode).verified
+    assert counts == {"lstsq": 0, "PolyScalar": 0}
 
 
 def test_realize_rejects_non_admissible(cfg2):

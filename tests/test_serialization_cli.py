@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from affine_kahler.cli import main
+from affine_kahler.connections import ThetaField
 from affine_kahler.errors import SchemaViolation
+from affine_kahler.polynomials import ComplexPoly, PolyScalar
 from affine_kahler.realization import VERIFICATION_KEYS, realize
 from affine_kahler.sampling import random_holomorphic_theta, random_kahler_tensor
 from affine_kahler.serialization import (
@@ -84,6 +86,33 @@ def test_theta_schema_violations(cfg2, rng):
         theta_from_payload(swapped)
 
 
+def test_theta_payload_sums_repeated_records_in_file_order():
+    x1, y2, y3 = [1, 0, 0, 0], [0, 0, 0, 1], [0, 3, 0, 0]
+    payload = {
+        "m_bar": 2,
+        "entries": [
+            {
+                "i": 1,
+                "j": 2,
+                "k": 1,
+                "u": [{"coeff": c, "powers": x1} for c in (0.1, 0.2, 0.3)]
+                + [{"coeff": c, "powers": y3} for c in (1.0, -1.0)],
+                "v": [{"coeff": 0.5, "powers": y2}],
+            },
+            {"i": 2, "j": 2, "k": 2, "u": [{"coeff": 0.0, "powers": [10**30, 0, 0, 0]}], "v": []},
+        ],
+    }
+    # the sum in file order, which differs from 0.1 + (0.2 + 0.3) in the last bit
+    summed = PolyScalar(2, {tuple(x1): (0.1 + 0.2) + 0.3})
+    expected = ThetaField(2, {(1, 2, 1): ComplexPoly(summed, PolyScalar(2, {tuple(y2): 0.5}))})
+    theta = theta_from_payload(payload)
+    assert theta == expected and theta.entries == expected.entries
+    assert theta.arrays[2].tolist() == [y2, x1]  # zero sums leave no monomial behind
+    payload["entries"][1]["u"][0]["coeff"] = 1.0
+    with pytest.raises(ValueError, match="degree"):
+        theta_from_payload(payload)
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def run_cli(*argv: str) -> int:
@@ -99,6 +128,20 @@ def test_cli_dims_ok(capsys):
 
 def test_cli_dims_rejects_small(capsys):
     assert run_cli("dims", "--mbar", "1") == 2
+
+
+def test_cli_selftest_rejects_small_mbar(capsys):
+    assert run_cli("selftest", "--mbar", "1") == 2
+    assert "--mbar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "decompose"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_cli_rejects_tolerance_out_of_range(command, tol, capsys):
+    assert run_cli(command, "--input", str(FIXTURES / "tensor_w9.json"), f"--tol={tol}") == 2
+    out, err = capsys.readouterr()
+    assert "--tol" in err
+    assert out == ""
 
 
 def test_cli_check_zero_tensor(tmp_path, cfg2, capsys):
@@ -226,6 +269,13 @@ def test_cli_paper_examples_table(capsys):
     out = capsys.readouterr().out
     assert "tau -4 -4 OK" in out
     assert "tau_tilde_J -4 -4 OK" in out
+
+
+def test_cli_paper_examples_rejects_wrong_rho_count(capsys):
+    assert run_cli("paper-examples", "--case", "4.1.1", "--rho", "1") == 2
+    out, err = capsys.readouterr()
+    assert "--rho" in err and "takes 2" in err
+    assert out == ""
 
 
 def test_cli_paper_examples_w11_half(capsys):
