@@ -147,6 +147,12 @@ class ThetaField:
     def zero(cls, m_bar: int) -> "ThetaField":
         return cls(m_bar, {})
 
+    def upper_keys(self) -> np.ndarray:
+        """0-based (i, j, k) with i <= j of the nonzero entries, in sorted order."""
+        U, V, _ = self.arrays
+        upper = np.triu(np.ones((self.m_bar, self.m_bar), dtype=bool))[:, :, None]
+        return np.argwhere(upper & (np.any(U != 0, axis=-1) | np.any(V != 0, axis=-1)))
+
     @cached_property
     def entries(self) -> dict[EntryKey, ComplexPoly]:
         m_bar = self.m_bar
@@ -156,11 +162,9 @@ class ThetaField:
         def poly(row: np.ndarray) -> PolyScalar:
             return PolyScalar(m_bar, dict(zip(powers, row.tolist())))
 
-        upper = np.triu(np.ones((m_bar, m_bar), dtype=bool))[:, :, None]
-        used = upper & (np.any(U != 0, axis=-1) | np.any(V != 0, axis=-1))
         return {
             (i + 1, j + 1, k + 1): ComplexPoly(poly(U[i, j, k]), poly(V[i, j, k]))
-            for i, j, k in np.argwhere(used).tolist()
+            for i, j, k in self.upper_keys().tolist()
         }
 
     def __eq__(self, other: object) -> bool:

@@ -192,16 +192,38 @@ def _unit_gradient_stack(m_bar: int, keys: tuple[ColumnKey, ...]) -> np.ndarray:
     return stack
 
 
+@functools.lru_cache(maxsize=8)
+def _parameter_layout(m_bar: int, keys: tuple[ColumnKey, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each parameter's unit gradient pattern sits: (parameter, flat
+    position, sign) of every nonzero pattern entry, two per key.
+
+    Positions index the flattened (2, m_bar, m_bar, m_bar, m) gradient array
+    on the entry i <= j.
+    """
+    lo, hi, k, a = (np.array([key[field] for key in keys], dtype=np.int64) - 1 for field in range(4))
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    pattern = np.array([_UNIT_GRADIENTS[key.kind, key.part] for key in keys], dtype=float)
+    param, uv, xy = np.nonzero(pattern)
+    flat = np.ravel_multi_index(
+        (uv, lo[param], hi[param], k[param], a[param] + m_bar * xy), (2, m_bar, m_bar, m_bar, 2 * m_bar)
+    )
+    return param, flat, pattern[param, uv, xy]
+
+
 def theta_from_coefficients(
     config: SpaceConfig, keys: tuple[ColumnKey, ...], coeffs: np.ndarray
 ) -> ThetaField:
     """Rebuild the degree-1, origin-vanishing field a parameter vector describes.
 
     Its coefficient arrays are the origin gradients over the 2 m_bar
-    coordinate monomials, each entry i <= j mirrored to (j, i).
+    coordinate monomials: each gradient entry the signed sum of the
+    parameters whose patterns reach it, each entry i <= j mirrored to (j, i).
     """
     m_bar = config.m_bar
-    grads = np.tensordot(np.asarray(coeffs, dtype=float), _unit_gradient_stack(m_bar, keys), axes=1)
+    param, flat, sign = _parameter_layout(m_bar, keys)
+    shape = (2, m_bar, m_bar, m_bar, 2 * m_bar)
+    grads = np.bincount(flat, weights=sign * np.asarray(coeffs, dtype=float)[param], minlength=np.prod(shape))
+    grads = grads.reshape(shape)
     upper = np.triu(np.ones((m_bar, m_bar), dtype=bool))[:, :, None, None]
     grads = np.where(upper, grads, grads.swapaxes(1, 2))
     return ThetaField.from_arrays(m_bar, grads[0], grads[1], np.eye(2 * m_bar, dtype=np.int64))
@@ -210,12 +232,13 @@ def theta_from_coefficients(
 def _coefficients_of(theta: ThetaField, keys: tuple[ColumnKey, ...]) -> np.ndarray:
     """The parameter vector of a degree-1, origin-vanishing field.
 
-    A projection: on the entries i <= j the unit gradient patterns are
-    mutually orthogonal with squared norm 2.
+    A projection, read as the signed gather matching theta_from_coefficients:
+    on the entries i <= j the unit gradient patterns are mutually orthogonal
+    with squared norm 2.
     """
-    upper = np.triu(np.ones((theta.m_bar, theta.m_bar), dtype=bool))[:, :, None, None]
-    stack = _unit_gradient_stack(theta.m_bar, keys) * upper
-    return np.einsum("nuijkc,uijkc->n", stack, degree_one_gradients(theta)) / 2.0
+    param, flat, sign = _parameter_layout(theta.m_bar, keys)
+    grads = degree_one_gradients(theta).reshape(-1)
+    return np.bincount(param, weights=sign * grads[flat], minlength=len(keys)) / 2.0
 
 
 @dataclass(frozen=True)

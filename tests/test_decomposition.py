@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from affine_kahler.connections import ThetaField, linear_curvature_at_zero
+from affine_kahler.connections import ThetaField, degree_one_gradients, linear_curvature_at_zero
 from affine_kahler.decomposition import (
     W_LABELS,
     ColumnKey,
     _coefficients_of,
     _column_keys,
+    _unit_gradient_stack,
     bilinear_decompose,
     bilinear_subspaces,
     clear_caches,
@@ -151,6 +152,29 @@ def test_parameter_vector_survives_field_round_trip(m_bar, rng):
     for key, poly in theta.entries.items():
         for part, again in ((poly.u, rebuilt.entries[key].u), (poly.v, rebuilt.entries[key].v)):
             assert (part - again).max_abs_coeff() <= 1e-14 * part.max_abs_coeff()
+
+
+@pytest.mark.parametrize("m_bar", [1, 2, 3, 4])
+def test_signed_scatter_equals_the_unit_gradient_contraction(m_bar):
+    # The oracle contracts the parameter vector against the stack of unit
+    # gradient fields; every entry is a sum of two signed parameters, so the
+    # direct scatter and gather must agree bit for bit.
+    rng = np.random.default_rng(m_bar)
+    keys = _column_keys(m_bar)
+    stack = _unit_gradient_stack(m_bar, keys)
+    upper = np.triu(np.ones((m_bar, m_bar), dtype=bool))[:, :, None, None]
+    for _ in range(4):
+        coeffs = rng.standard_normal(len(keys)) * 10.0 ** rng.integers(-8, 9, len(keys))
+        coeffs[rng.random(len(keys)) < 0.2] = -0.0
+        coeffs[rng.random(len(keys)) < 0.1] = 0.0
+        grads = np.tensordot(coeffs, stack, axes=1)
+        grads = np.where(upper, grads, grads.swapaxes(1, 2))
+        expected = ThetaField.from_arrays(m_bar, grads[0], grads[1], np.eye(2 * m_bar, dtype=np.int64))
+        theta = theta_from_coefficients(SpaceConfig(m_bar), keys, coeffs)
+        for mine, theirs in zip(theta.arrays, expected.arrays):
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+        projected = np.einsum("nuijkc,uijkc->n", stack * upper, degree_one_gradients(theta)) / 2.0
+        np.testing.assert_array_equal(_coefficients_of(theta, keys), projected)
 
 
 def _reference_degree_one_theta(cfg: SpaceConfig, rng: np.random.Generator) -> ThetaField:
