@@ -131,6 +131,8 @@ class ThetaField:
         E = E[order]
         if np.any(np.all(E[1:] == E[:-1], axis=1)):
             raise ValueError("exponent rows must be distinct")
+        # Each exponent first: sums of non-negative exponents within the cap cannot wrap.
+        _require_degree_cap(int(E.max(initial=0)))
         _require_degree_cap(int(E.sum(axis=1).max(initial=0)))
         # Adding 0.0 turns -0.0 into 0.0, the only zero the entry route stores.
         arrays = (U[..., order] + 0.0, V[..., order] + 0.0, E)

@@ -4,11 +4,13 @@ K is realized concretely from the image of the degree-1 coefficient map: the
 origin curvatures of the unit degree-1, origin-vanishing coefficient
 directions.  The columns are assembled once per size and each must satisfy
 the three defining identities (antisymmetry in the first pair, the first
-Bianchi identity, J-invariance of the last pair).  The holomorphic /
-antiholomorphic columns span the parity eigenspaces K- / K+, and K is the
-stack of their orthonormal bases, K = K+ (+) K-, at the closed-form
-dimension.  The kernel of the integer constraint matrix of the three
-identities is an independent oracle for K kept in the tests.
+Bianchi identity, J-invariance of the last pair).  The map C is integer-valued
+with a diagonal pseudo-inverse W C^T, proven in exact arithmetic together with
+the rank of each column kind, which must be the closed-form dimension.  The
+holomorphic / antiholomorphic columns span the parity eigenspaces K- / K+,
+and K is the stack of their orthonormal bases, K = K+ (+) K-.  The kernel of
+the integer constraint matrix of the three identities is an independent
+oracle for K kept in the tests.
 The twelve mutually orthogonal submodules W1..W12 are carved out of K+ and
 K- in coordinates on their bases, by kernel and symmetry conditions on the
 trace maps, and lifted to R^(m^4) once; every dimension and orthogonality
@@ -22,15 +24,17 @@ J-even symmetric and antisymmetric parts respectively.
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .connections import ThetaField, degree_one_gradients, linear_curvature_from_gradients
 from .errors import DomainViolation, InternalCheckFailure
-from .linalg import Subspace, _rank_threshold, complement_within, kernel_within, orthonormalize
+from .linalg import Subspace, complement_within, kernel_within, orthonormalize
 from .tensors import (
     DEFAULT_TOL,
     Bilinear2,
@@ -97,11 +101,6 @@ def w_dimension_formulas(m_bar: int) -> dict[str, int]:
     return dims
 
 
-def kahler_space_dimension(m_bar: int) -> int:
-    """dim K = m_bar^2 (m_bar + 1) (5 m_bar - 2) / 3."""
-    return _exact_div(m_bar * m_bar * (m_bar + 1) * (5 * m_bar - 2), 3)
-
-
 @dataclass(frozen=True)
 class DimensionTable:
     """Closed-form dimensions for every labelled space at a given m_bar."""
@@ -115,7 +114,7 @@ def module_dimension_table(m_bar: int) -> DimensionTable:
     _require_decomposable(m_bar)
     n = m_bar
     dims = dict(w_dimension_formulas(n))
-    dims["K"] = kahler_space_dimension(n)
+    dims["K"] = _exact_div(n * n * (n + 1) * (5 * n - 2), 3)
     dims["K-"] = dims["W2"] + dims["W4"] + dims["W12"]
     dims["K+"] = dims["K"] - dims["K-"]
     dims["S2-"] = n * (n + 1)
@@ -152,6 +151,7 @@ class ColumnKey(NamedTuple):
     part: str
 
 
+@functools.lru_cache(maxsize=8)
 def _column_keys(m_bar: int) -> tuple[ColumnKey, ...]:
     keys = []
     for i in range(1, m_bar + 1):
@@ -193,13 +193,14 @@ def _unit_gradient_stack(m_bar: int, keys: tuple[ColumnKey, ...]) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _parameter_layout(m_bar: int, keys: tuple[ColumnKey, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _parameter_layout(m_bar: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where each parameter's unit gradient pattern sits: (parameter, flat
     position, sign) of every nonzero pattern entry, two per key.
 
     Positions index the flattened (2, m_bar, m_bar, m_bar, m) gradient array
     on the entry i <= j.
     """
+    keys = _column_keys(m_bar)
     lo, hi, k, a = (np.array([key[field] for key in keys], dtype=np.int64) - 1 for field in range(4))
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
     pattern = np.array([_UNIT_GRADIENTS[key.kind, key.part] for key in keys], dtype=float)
@@ -210,17 +211,16 @@ def _parameter_layout(m_bar: int, keys: tuple[ColumnKey, ...]) -> tuple[np.ndarr
     return param, flat, pattern[param, uv, xy]
 
 
-def theta_from_coefficients(
-    config: SpaceConfig, keys: tuple[ColumnKey, ...], coeffs: np.ndarray
-) -> ThetaField:
+def theta_from_coefficients(config: SpaceConfig, coeffs: np.ndarray) -> ThetaField:
     """Rebuild the degree-1, origin-vanishing field a parameter vector describes.
 
-    Its coefficient arrays are the origin gradients over the 2 m_bar
+    The parameters follow the column order of the coefficient map.  Its
+    coefficient arrays are the origin gradients over the 2 m_bar
     coordinate monomials: each gradient entry the signed sum of the
     parameters whose patterns reach it, each entry i <= j mirrored to (j, i).
     """
     m_bar = config.m_bar
-    param, flat, sign = _parameter_layout(m_bar, keys)
+    param, flat, sign = _parameter_layout(m_bar)
     shape = (2, m_bar, m_bar, m_bar, 2 * m_bar)
     grads = np.bincount(flat, weights=sign * np.asarray(coeffs, dtype=float)[param], minlength=np.prod(shape))
     grads = grads.reshape(shape)
@@ -229,39 +229,71 @@ def theta_from_coefficients(
     return ThetaField.from_arrays(m_bar, grads[0], grads[1], np.eye(2 * m_bar, dtype=np.int64))
 
 
-def _coefficients_of(theta: ThetaField, keys: tuple[ColumnKey, ...]) -> np.ndarray:
+def _coefficients_of(theta: ThetaField) -> np.ndarray:
     """The parameter vector of a degree-1, origin-vanishing field.
 
     A projection, read as the signed gather matching theta_from_coefficients:
     on the entries i <= j the unit gradient patterns are mutually orthogonal
     with squared norm 2.
     """
-    param, flat, sign = _parameter_layout(theta.m_bar, keys)
+    param, flat, sign = _parameter_layout(theta.m_bar)
     grads = degree_one_gradients(theta).reshape(-1)
-    return np.bincount(param, weights=sign * grads[flat], minlength=len(keys)) / 2.0
+    return np.bincount(param, weights=sign * grads[flat], minlength=len(_column_keys(theta.m_bar))) / 2.0
 
 
 @dataclass(frozen=True)
 class CurvatureCoefficientMap:
-    """Linear map from degree-1 coefficient parameters to curvature at the origin."""
+    """Linear map from degree-1 coefficient parameters to curvature at the
+    origin, with the diagonal W of its pseudo-inverse (matrix^+ = W matrix^T)
+    and the rank of each column kind, both exact."""
 
     config: SpaceConfig
-    matrix: np.ndarray  # shape (m^4, n_columns)
+    matrix: np.ndarray  # shape (m^4, n_columns), integer-valued
     columns: tuple[ColumnKey, ...]
+    kinds: np.ndarray  # the kind of each column
+    weights: np.ndarray  # shape (n_columns,)
+    ranks: Mapping[str, int]
 
     def column_mask(self, kind: str) -> np.ndarray:
-        return np.array([key.kind == kind for key in self.columns])
+        return self.kinds == kind
 
     def rank(self) -> int:
-        return _matrix_rank(self.matrix)
+        # the two column kinds are orthogonal, so their ranks add up
+        return sum(self.ranks.values())
 
     def restricted_rank(self, kind: str) -> int:
-        return _matrix_rank(self.matrix[:, self.column_mask(kind)])
+        return self.ranks[kind]
 
 
-def _matrix_rank(mat: np.ndarray) -> int:
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(svals > _rank_threshold(svals, mat.shape, None)))
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of integer-valued float arrays, free of rounding in any summation
+    order: every partial sum is an integer of at most inner * max|a| * max|b|,
+    which must stay below 2^53."""
+    if a.shape[-1] * np.abs(a).max(initial=0.0) * np.abs(b).max(initial=0.0) >= 2.0**53:
+        raise InternalCheckFailure("an integer product leaves the exact range of float64")
+    return a @ b
+
+
+def _diagonal_pseudo_inverse(gram: np.ndarray) -> tuple[np.ndarray, int]:
+    """The diagonal W with C^+ = W C^T, and the rank of C, from G = C^T C.
+
+    With d, s the diagonals of G and G^2, w = d / s (0 on zero columns).  For
+    X = W C^T, C X is symmetric, G W G = G gives C X C = C and X C X = X, and
+    X C = W G must be symmetric: the Moore-Penrose conditions.  W G is then
+    the projector onto the row space of C, of rank trace(W G).  Both checks
+    run on L W G, L = lcm(s), integer-valued like G (an L G beyond 2^53
+    rounds and fails the first).
+    """
+    d = np.diag(gram).astype(np.int64)
+    s = np.diag(_exact_product(gram, gram)).astype(np.int64)
+    scale = math.lcm(*s[s > 0].tolist())
+    scaled_w = (scale // np.maximum(s, 1) * d).astype(float)  # zero columns have d = s = 0
+    scaled_wg = scaled_w[:, None] * gram
+    if not np.array_equal(_exact_product(gram, scaled_wg), scale * gram):
+        raise InternalCheckFailure("the diagonal pseudo-inverse fails G W G = G")
+    if not np.array_equal(scaled_wg, scaled_wg.T):
+        raise InternalCheckFailure("the diagonal pseudo-inverse fails W G = (W G)^T")
+    return scaled_w / scale, sum(int(v) for v in np.diag(scaled_wg)) // scale
 
 
 # The one lock for every per-size memo.  Re-entrant: builders call each other
@@ -298,9 +330,11 @@ def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
     """The parameter-to-curvature matrix K is built from, assembled once per size.
 
     Each column is the origin curvature of a unit degree-1 coefficient
-    direction and must satisfy the defining identities to 1e-12; a failure
-    is an internal error.  The span checks live in kahler_parity_subspaces
-    and kahler_space_basis.
+    direction and must satisfy the defining identities to 1e-12.  The matrix
+    must be integer-valued, its two column kinds orthogonal, and each kind's
+    diagonal pseudo-inverse (exact) of the closed-form rank: dim K+ for the
+    antiholomorphic columns, dim K- for the holomorphic ones.  A failure is
+    an internal error.
     """
     _require_decomposable(config.m_bar)
     keys = _column_keys(config.m_bar)
@@ -311,7 +345,22 @@ def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
         raise InternalCheckFailure(f"a coefficient-map column violates the identities by {worst:.3e}")
     cols = np.ascontiguousarray(stack.reshape(len(keys), -1).T)
     cols.setflags(write=False)
-    return CurvatureCoefficientMap(config=config, matrix=cols, columns=keys)
+    if not np.array_equal(cols.astype(np.int8), cols):  # small integers survive the int8 round trip
+        raise InternalCheckFailure("the coefficient map is not integer-valued")
+    gram = _exact_product(cols.T, cols)
+    kinds = np.array([key.kind for key in keys])
+    hol = kinds == HOLOMORPHIC
+    if np.any(gram[np.ix_(hol, ~hol)]):
+        raise InternalCheckFailure("the holomorphic and antiholomorphic columns are not orthogonal")
+    weights, ranks = np.zeros(len(keys)), {}
+    dims = module_dimension_table(config.m_bar).dims
+    for kind, columns, label in ((ANTIHOLOMORPHIC, ~hol, "K+"), (HOLOMORPHIC, hol, "K-")):
+        weights[columns], ranks[kind] = _diagonal_pseudo_inverse(gram[np.ix_(columns, columns)])
+        if ranks[kind] != dims[label]:
+            raise InternalCheckFailure(f"{kind} columns of rank {ranks[kind]}, not dim {label} = {dims[label]}")
+    for arr in (kinds, weights):
+        arr.setflags(write=False)
+    return CurvatureCoefficientMap(config, cols, keys, kinds, weights, MappingProxyType(ranks))
 
 
 @_per_size
@@ -320,26 +369,23 @@ def kahler_parity_subspaces(config: SpaceConfig) -> tuple[Subspace, Subspace]:
 
     K- is the span of the holomorphic columns of the coefficient map and K+
     that of the antiholomorphic ones.  Every basis row must be fixed (K+) or
-    negated (K-) by the conjugation to 1e-10, and their dimensions must add
-    up to the closed-form dim K, which together make them the two
-    eigenspaces of K.
+    negated (K-) by the conjugation to 1e-10, and each basis must have the
+    exact rank of its columns, which coefficient_map proves to be the
+    closed-form dimension; together these make them the two eigenspaces of K.
     """
     cmap = coefficient_map(config)
     hol = cmap.column_mask(HOLOMORPHIC)
     plus = orthonormalize(cmap.matrix[:, ~hol].T, tol=_RANK_TOL)
     minus = orthonormalize(cmap.matrix[:, hol].T, tol=_RANK_TOL)
     m = config.m
-    for label, sub, sign in (("K+", plus, 1.0), ("K-", minus, -1.0)):
+    for label, sub, sign, kind in (("K+", plus, 1.0, ANTIHOLOMORPHIC), ("K-", minus, -1.0, HOLOMORPHIC)):
+        if sub.dim != cmap.ranks[kind]:
+            raise InternalCheckFailure(f"dim {label} = {sub.dim} by SVD, {cmap.ranks[kind]} exactly")
         rows = sub.basis.reshape(-1, m, m, m, m)
         conj = apply_j_slots(rows, config, (1, 2, 3, 4))
         gap = float(np.max(np.abs(conj - sign * rows)))
         if gap > 1e-10:
             raise InternalCheckFailure(f"{label} basis has the wrong J-parity by {gap:.3e}")
-    expected = kahler_space_dimension(config.m_bar)
-    if plus.dim + minus.dim != expected:
-        raise InternalCheckFailure(
-            f"dim K = {plus.dim} + {minus.dim} from the coefficient-map image, expected {expected}"
-        )
     return plus, minus
 
 

@@ -147,20 +147,8 @@ def require_finite_solution(coeffs: np.ndarray) -> None:
     """Reject a least-squares solution that overflowed floating point."""
     if not np.all(np.isfinite(coeffs)):
         raise DomainViolation(
-            "least_squares_solve: the minimum-norm solution is not representable in floating point"
+            "the minimum-norm solution is not representable in floating point"
         )
-
-
-def pseudo_inverse(mat: np.ndarray, rank_shape: tuple[int, int]) -> tuple[np.ndarray, int]:
-    """Moore-Penrose pseudo-inverse of mat, and the rank it keeps.
-
-    Singular values at or below the cutoff that ``lstsq`` (rcond=None) would
-    apply to a matrix of shape ``rank_shape`` with the same singular values
-    are dropped, so pinv @ b is the minimum-norm solution lstsq returns.
-    """
-    u, svals, vt = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(svals > _rank_threshold(svals, rank_shape, None)))
-    return (vt[:rank].T / svals[:rank]) @ u[:, :rank].T, rank
 
 
 def kernel_within(space: Subspace, map_on_basis: np.ndarray, tol: float | None = None) -> Subspace:

@@ -5,21 +5,17 @@ real parameter space: each entry Theta_{ijk} (i <= j) contributes, per
 complex coordinate line a, a holomorphic direction c * z_a and an
 antiholomorphic direction c * conj(z_a), each with a real and an imaginary
 unit coefficient.  Curvature at the origin is linear in these parameters.
-The holomorphic / antiholomorphic column blocks C- / C+ of that map span
-exactly the odd / even J-parity parts K- / K+, and together the whole
-admissible space: the decomposition layer builds K- and K+ as these spans,
-with orthonormal bases B- / B+, and verifies this once per size.
+The holomorphic / antiholomorphic columns of that map span exactly the odd /
+even J-parity parts K- / K+ of the admissible space, verified once per size.
 
-Realization is the minimum-norm solve against the map.  Since K- and K+ are
-orthogonal it splits into one solve per block, and since each block is
-C = B^T M with M = B C, it reads coeffs = M^+ (B target) in K+/K- coordinates.
-The two small pseudo-inverses M^+ are built once per size and cached; numpy's
-``lstsq`` on the same blocks is the test oracle.
+Realization is the minimum-norm solve against the map C.  Its pseudo-inverse
+is C^+ = W C^T for the diagonal W the decomposition layer proves exactly when
+it builds C, so the solve is coeffs = w * (C^T target) with no factorization;
+numpy's ``lstsq`` on the same columns is the test oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,17 +30,15 @@ from .connections import (
     torsion_residual,
 )
 from .decomposition import (
-    ANTIHOLOMORPHIC,
     HOLOMORPHIC,
     CurvatureCoefficientMap,
     _coefficients_of,
-    _per_size,
     coefficient_map,
     kahler_parity_subspaces,
     theta_from_coefficients,
 )
 from .errors import InternalCheckFailure
-from .linalg import pseudo_inverse, require_finite_solution
+from .linalg import require_finite_solution
 from .tensors import (
     DEFAULT_TOL,
     SpaceConfig,
@@ -66,56 +60,27 @@ def curvature_coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
     It is the matrix K is built from: every column satisfies the defining
     identities, the column span is K at the closed-form dimension, and the
     holomorphic / antiholomorphic columns span the odd / even parity parts.
-    Building the parity split checks all of it, once per size.
+    Building the map and its parity split checks all of it, once per size.
     """
     kahler_parity_subspaces(config)
     return coefficient_map(config)
 
 
-class _ParityBlock(NamedTuple):
-    """One parity block of the minimum-norm solve."""
-
-    columns: np.ndarray  # mask of the coefficient-map columns of one kind
-    basis: np.ndarray  # orthonormal rows of the parity part those columns span
-    pinv: np.ndarray  # pseudo-inverse of basis @ (the columns)
-
-
-@_per_size
-def _parity_solver(config: SpaceConfig) -> tuple[_ParityBlock, _ParityBlock]:
-    """The (K+, K-) blocks of the minimum-norm solve, built once per size.
-
-    Each block's rank is decided with the cutoff ``lstsq`` applies to its
-    m^4-row column block and must equal dim K+ (antiholomorphic columns) or
-    dim K- (holomorphic columns).
-    """
-    cmap = curvature_coefficient_map(config)
-    blocks = []
-    for kind, space in zip((ANTIHOLOMORPHIC, HOLOMORPHIC), kahler_parity_subspaces(config)):
-        columns = cmap.column_mask(kind)
-        block = cmap.matrix[:, columns]
-        pinv, rank = pseudo_inverse(space.basis @ block, block.shape)
-        if rank != space.dim:
-            raise InternalCheckFailure(f"the {kind} columns have rank {rank}, expected {space.dim}")
-        blocks.append(_ParityBlock(columns, space.basis, pinv))
-    return tuple(blocks)
-
-
 def _solve_coefficients(tensor: Tensor4, mode: str) -> np.ndarray:
     """The minimum-norm parameter vector realizing ``tensor`` at the origin.
 
-    ``joint`` solves both blocks against the tensor; ``split`` solves the
-    antiholomorphic block against its even part and the holomorphic block
+    ``joint`` solves every column against the tensor; ``split`` solves the
+    antiholomorphic columns against its even part and the holomorphic ones
     against its odd part.  For a tensor in K both give the same vector.
     """
+    cmap = curvature_coefficient_map(tensor.config)
     if mode == "joint":
-        even = odd = tensor.flatten()
+        image = tensor.flatten() @ cmap.matrix
     else:
         plus, minus = _parity_parts(tensor)
-        even, odd = plus.flatten(), minus.flatten()
-    blocks = _parity_solver(tensor.config)
-    coeffs = np.zeros(len(blocks[0].columns))
-    for block, target in zip(blocks, (even, odd)):
-        coeffs[block.columns] = block.pinv @ (block.basis @ target)
+        even, odd = np.stack([plus.flatten(), minus.flatten()]) @ cmap.matrix
+        image = np.where(cmap.column_mask(HOLOMORPHIC), odd, even)
+    coeffs = cmap.weights * image
     require_finite_solution(coeffs)
     return coeffs
 
@@ -173,8 +138,7 @@ def realize(tensor: Tensor4, mode: str = "joint") -> RealizationResult:
     symmetries = require_in_k(tensor)
     if mode not in ("joint", "split"):
         raise ValueError(f"unknown mode {mode!r}")
-    cmap = curvature_coefficient_map(tensor.config)
-    theta = theta_from_coefficients(tensor.config, cmap.columns, _solve_coefficients(tensor, mode))
+    theta = theta_from_coefficients(tensor.config, _solve_coefficients(tensor, mode))
 
     conn = connection_from_theta(theta)
     report = _verification(tensor, conn, symmetries)
@@ -225,10 +189,9 @@ def split_components(result: RealizationResult) -> tuple[ThetaField, ThetaField]
     and a conj(z)-linear part: the field's parameter vector, masked by kind.
     """
     config = result.theta.config
-    cmap = coefficient_map(config)
-    coeffs = _coefficients_of(result.theta, cmap.columns)
-    hol = cmap.column_mask(HOLOMORPHIC)
+    coeffs = _coefficients_of(result.theta)
+    hol = coefficient_map(config).column_mask(HOLOMORPHIC)
     return (
-        theta_from_coefficients(config, cmap.columns, np.where(hol, coeffs, 0.0)),
-        theta_from_coefficients(config, cmap.columns, np.where(hol, 0.0, coeffs)),
+        theta_from_coefficients(config, np.where(hol, coeffs, 0.0)),
+        theta_from_coefficients(config, np.where(hol, 0.0, coeffs)),
     )

@@ -125,5 +125,4 @@ def random_antiholomorphic_theta(
 def random_degree_one_theta(config: SpaceConfig, rng: np.random.Generator) -> ThetaField:
     """Random degree-1, origin-vanishing field mixing both coordinate kinds:
     one standard normal per real parameter, drawn in parameter order."""
-    keys = _column_keys(config.m_bar)
-    return theta_from_coefficients(config, keys, rng.standard_normal(len(keys)))
+    return theta_from_coefficients(config, rng.standard_normal(len(_column_keys(config.m_bar))))

@@ -91,7 +91,7 @@ def _field(m_bar: int, terms: list[tuple]) -> ThetaField:
         kind = HOLOMORPHIC if coord == "z" else ANTIHOLOMORPHIC
         for part, value in (("re", re), ("im", im)):
             coeffs[slot[ColumnKey(min(i, j), max(i, j), k, line, kind, part)]] += value
-    return theta_from_coefficients(SpaceConfig(m_bar), keys, coeffs)
+    return theta_from_coefficients(SpaceConfig(m_bar), coeffs)
 
 
 @dataclass(frozen=True)

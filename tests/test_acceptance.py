@@ -167,6 +167,10 @@ def test_criterion_6_surjectivity_of_the_curvature_map():
         assert cmap.rank() == dim_k
         assert cmap.restricted_rank("hol") == minus.dim
         assert cmap.restricted_rank("anti") == plus.dim
+        # the exact ranks against an SVD rank of the same columns
+        assert np.linalg.matrix_rank(cmap.matrix) == dim_k
+        assert np.linalg.matrix_rank(cmap.matrix[:, cmap.column_mask("hol")]) == minus.dim
+        assert np.linalg.matrix_rank(cmap.matrix[:, cmap.column_mask("anti")]) == plus.dim
         for col in cmap.matrix[:, cmap.column_mask("hol")].T:
             assert minus.residual(col) <= 1e-9 * max(1.0, float(np.linalg.norm(col)))
         for col in cmap.matrix[:, cmap.column_mask("anti")].T:

@@ -131,6 +131,8 @@ def test_array_constructor_rejects_malformed_arrays():
         ThetaField.from_arrays(2, U, U, np.array([[1, 0, 0, 0], [1, 0, 0, 0]]))
     with pytest.raises(ValueError, match="degree"):
         ThetaField.from_arrays(2, U, U, np.array([[DEGREE_CAP + 1, 0, 0, 0], [0, 1, 0, 0]]))
+    with pytest.raises(ValueError, match="exceeds the cap"):  # a row sum that wraps in int64
+        ThetaField.from_arrays(1, np.ones((1, 1, 1, 1)), np.zeros((1, 1, 1, 1)), [[2**62, 2**62]])
     with pytest.raises(ValueError, match="shapes"):
         ThetaField.from_arrays(2, U, U, E[:, :3])
 

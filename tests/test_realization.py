@@ -13,7 +13,7 @@ from affine_kahler.connections import (
     curvature_at,
     holomorphy_type,
 )
-from affine_kahler.decomposition import kahler_parity_subspaces, kahler_space_basis
+from affine_kahler.decomposition import coefficient_map, kahler_parity_subspaces, kahler_space_basis
 from affine_kahler.errors import DomainViolation
 from affine_kahler.linalg import least_squares_solve
 from affine_kahler.realization import (
@@ -25,6 +25,7 @@ from affine_kahler.realization import (
     verify_realization,
 )
 from affine_kahler.sampling import random_degree_one_theta, random_kahler_tensor, random_point
+from affine_kahler.serialization import read_tensor_file
 from affine_kahler.tensors import (
     SpaceConfig,
     Tensor4,
@@ -36,14 +37,20 @@ from affine_kahler.witnesses import witness_theta
 
 EXPECTED_RANKS = {2: (32, 8, 24), 3: (156, 48, 108)}
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
 
 @pytest.mark.parametrize("m_bar", [2, 3])
 def test_map_ranks(m_bar):
+    # the exact ranks against the closed forms and an SVD rank of the same columns
     cmap = curvature_coefficient_map(SpaceConfig(m_bar))
     total, hol, anti = EXPECTED_RANKS[m_bar]
     assert cmap.rank() == total == kahler_space_basis(SpaceConfig(m_bar)).dim
     assert cmap.restricted_rank("hol") == hol
     assert cmap.restricted_rank("anti") == anti
+    assert np.linalg.matrix_rank(cmap.matrix) == total
+    for kind, rank in (("hol", hol), ("anti", anti)):
+        assert np.linalg.matrix_rank(cmap.matrix[:, cmap.column_mask(kind)]) == rank
 
 
 @pytest.mark.parametrize("m_bar", [2, 3])
@@ -77,7 +84,7 @@ def test_column_span_matches_parity_projector_oracle(cfg2):
 def test_coefficient_vector_round_trip(cfg2, rng):
     cmap = curvature_coefficient_map(cfg2)
     coeffs = rng.standard_normal(len(cmap.columns))
-    theta = theta_from_coefficients(cfg2, cmap.columns, coeffs)
+    theta = theta_from_coefficients(cfg2, coeffs)
     # the rebuilt field is degree 1 and vanishes at the origin
     assert theta.max_degree() <= 1
     assert theta.vanishes_at_origin()
@@ -142,7 +149,7 @@ def test_realize_classifies_its_input_once(cfg3, rng, monkeypatch, mode):
 @pytest.mark.parametrize("mode", ["joint", "split"])
 @pytest.mark.parametrize("m_bar", [2, 3, 4])
 def test_solver_matches_lstsq_oracle(m_bar, mode):
-    # the cached pseudo-inverses against a fresh lstsq of the same column blocks
+    # the exact diagonal pseudo-inverse against a fresh lstsq of the same columns
     cfg = SpaceConfig(m_bar)
     tensor = random_kahler_tensor(cfg, np.random.default_rng(m_bar))
     cmap = curvature_coefficient_map(cfg)
@@ -156,6 +163,41 @@ def test_solver_matches_lstsq_oracle(m_bar, mode):
         expected[~hol], _ = least_squares_solve(cmap.matrix[:, ~hol], plus.flatten())
     coeffs = _solve_coefficients(tensor, mode)
     assert np.linalg.norm(coeffs - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("m_bar", [2, 3, 4])
+def test_map_build_and_solves_factorize_nothing(m_bar, monkeypatch):
+    # with K+ / K- warm, a cold build of the map (its exact pseudo-inverse
+    # included) and a joint and a split solve call no numpy factorization
+    from affine_kahler import decomposition
+
+    cfg = SpaceConfig(m_bar)
+    tensor = random_kahler_tensor(cfg, np.random.default_rng(m_bar))  # warms K+ / K-
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "pinv", "lstsq", "eigh", "matrix_rank"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    cold = decomposition.coefficient_map.__wrapped__(cfg)
+    for mode in ("joint", "split"):
+        _solve_coefficients(tensor, mode)
+    assert calls == []
+    warm = coefficient_map(cfg)
+    assert cold.ranks == warm.ranks and np.array_equal(cold.weights, warm.weights)
+
+
+@pytest.mark.parametrize("mode", ["joint", "split"])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("tensor_*.json")), ids=lambda path: path.stem)
+def test_realized_fixture_fields_carry_no_rounding_noise(path, mode):
+    # the exact solve leaves zeros where the minimum-norm field has them
+    U, V, _ = realize(read_tensor_file(path), mode=mode).theta.arrays
+    coeffs = np.abs(np.concatenate([U.ravel(), V.ravel()]))
+    assert not np.any((coeffs > 0) & (coeffs < 1e-12))
 
 
 def test_warm_realize_runs_no_lstsq_and_builds_no_polynomials(cfg3, rng, monkeypatch):

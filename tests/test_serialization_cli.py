@@ -233,6 +233,15 @@ def test_cli_realize_zero_gives_empty_theta(tmp_path, cfg2, capsys):
     assert json.loads(theta_out.read_text())["entries"] == []
 
 
+def test_cli_realize_of_a_fixture_writes_no_rounding_noise(tmp_path, capsys):
+    # the exact solve: two records, where a float-cutoff solve wrote 216
+    theta_out = tmp_path / "theta.json"
+    assert run_cli("realize", "--input", str(FIXTURES / "tensor_w11.json"), "--out", str(theta_out)) == 0
+    assert "curvature_match 0.000000e+00" in capsys.readouterr().out.splitlines()
+    entries = json.loads(theta_out.read_text())["entries"]
+    assert sum(len(entry["u"]) + len(entry["v"]) for entry in entries) == 2
+
+
 def test_cli_curvature_zero_theta(tmp_path, capsys):
     theta_path = tmp_path / "theta.json"
     theta_path.write_text(json.dumps({"m_bar": 2, "entries": []}), encoding="utf-8")
