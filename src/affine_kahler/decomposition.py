@@ -6,16 +6,19 @@ directions.  The columns are assembled once per size and each must satisfy
 the three defining identities (antisymmetry in the first pair, the first
 Bianchi identity, J-invariance of the last pair).  The map C is integer-valued
 with a diagonal pseudo-inverse W C^T, proven in exact arithmetic together with
-the rank of each column kind, which must be the closed-form dimension.  The
-holomorphic / antiholomorphic columns span the parity eigenspaces K- / K+,
-and K is the stack of their orthonormal bases, K = K+ (+) K-.  The kernel of
-the integer constraint matrix of the three identities is an independent
-oracle for K kept in the tests.
+the rank of each column kind, which must be the closed-form dimension, and
+with the J-parity of every column: the holomorphic columns are exactly J-odd
+and the antiholomorphic ones exactly J-even, so they span the parity
+eigenspaces K- / K+.  Their orthonormal bases come from the columns by exact
+Gram-Schmidt on the integer Gram matrix, with no singular-value cutoff, and K
+is their stack, K = K+ (+) K-.  The kernel of the integer constraint matrix of
+the three identities is an independent oracle for K kept in the tests.
 The twelve mutually orthogonal submodules W1..W12 are carved out of K+ and
 K- in coordinates on their bases, by kernel and symmetry conditions on the
-trace maps, and lifted to R^(m^4) once; every dimension and orthogonality
-claim is re-verified during construction and a failure raises loudly instead
-of returning a bad basis.
+trace maps (W9, W10, W11 by one eigendecomposition of the last-pair swap),
+and lifted to R^(m^4) once; every dimension and orthogonality claim is
+re-verified during construction and a failure raises loudly instead of
+returning a bad basis.
 
 Bilinear forms decompose in parallel into six pieces: symmetric/antisymmetric
 crossed with J-parity, with the metric and Kahler-form lines split off the
@@ -244,11 +247,12 @@ def _coefficients_of(theta: ThetaField) -> np.ndarray:
 @dataclass(frozen=True)
 class CurvatureCoefficientMap:
     """Linear map from degree-1 coefficient parameters to curvature at the
-    origin, with the diagonal W of its pseudo-inverse (matrix^+ = W matrix^T)
-    and the rank of each column kind, both exact."""
+    origin, with its Gram matrix, the diagonal W of its pseudo-inverse
+    (matrix^+ = W matrix^T) and the rank of each column kind, all exact."""
 
     config: SpaceConfig
     matrix: np.ndarray  # shape (m^4, n_columns), integer-valued
+    gram: np.ndarray  # matrix^T matrix, int8
     columns: tuple[ColumnKey, ...]
     kinds: np.ndarray  # the kind of each column
     weights: np.ndarray  # shape (n_columns,)
@@ -263,6 +267,15 @@ class CurvatureCoefficientMap:
 
     def restricted_rank(self, kind: str) -> int:
         return self.ranks[kind]
+
+
+def _j_conjugation(config: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Full J-conjugation of flattened tensors as one signed gather:
+    conj[f] = sign[f] * flat[source[f]] (read off J applied to the flat
+    indices, counted from 1)."""
+    m = config.m
+    signed = apply_j_slots(np.arange(1, m**4 + 1).reshape(m, m, m, m), config, (0, 1, 2, 3)).reshape(-1)
+    return np.abs(signed).astype(np.intp) - 1, np.sign(signed).astype(np.int8)
 
 
 def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -330,26 +343,36 @@ def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
     """The parameter-to-curvature matrix K is built from, assembled once per size.
 
     Each column is the origin curvature of a unit degree-1 coefficient
-    direction and must satisfy the defining identities to 1e-12.  The matrix
-    must be integer-valued, its two column kinds orthogonal, and each kind's
-    diagonal pseudo-inverse (exact) of the closed-form rank: dim K+ for the
-    antiholomorphic columns, dim K- for the holomorphic ones.  A failure is
-    an internal error.
+    direction.  In exact integer arithmetic, the matrix must be
+    integer-valued (int8), every column must satisfy the defining identities,
+    the holomorphic columns must be J-odd and the antiholomorphic ones
+    J-even, the two kinds orthogonal, and each kind's diagonal pseudo-inverse
+    of the closed-form rank: dim K+ for the antiholomorphic columns, dim K-
+    for the holomorphic ones.  So the two kinds span the parity eigenspaces
+    K+ and K- of K.  A failure is an internal error.
     """
     _require_decomposable(config.m_bar)
     keys = _column_keys(config.m_bar)
     grads = _unit_gradient_stack(config.m_bar, keys)
     stack = linear_curvature_from_gradients(grads[:, 0], grads[:, 1])
-    worst = max(k_identity_violations(stack, config).values())
-    if worst > 1e-12:
-        raise InternalCheckFailure(f"a coefficient-map column violates the identities by {worst:.3e}")
-    cols = np.ascontiguousarray(stack.reshape(len(keys), -1).T)
-    cols.setflags(write=False)
-    if not np.array_equal(cols.astype(np.int8), cols):  # small integers survive the int8 round trip
+    small = stack.astype(np.int8)
+    if not np.array_equal(small, stack):  # small integers survive the int8 round trip
         raise InternalCheckFailure("the coefficient map is not integer-valued")
-    gram = _exact_product(cols.T, cols)
+    small = small.astype(np.int16)  # sums of three int8 values, or a negated -128, cannot wrap
+    worst = max(k_identity_violations(small, config).values())
+    if worst:
+        raise InternalCheckFailure(f"a coefficient-map column violates the identities by {worst:.0f}")
     kinds = np.array([key.kind for key in keys])
     hol = kinds == HOLOMORPHIC
+    source, sign = _j_conjugation(config)
+    small = small.reshape(len(keys), -1)
+    parity = np.where(hol, -1, 1).astype(np.int16)
+    if not np.array_equal(np.take(small, source, axis=1) * sign, parity[:, None] * small):
+        raise InternalCheckFailure("a coefficient-map column has the wrong J-parity")
+    del small
+    cols = np.ascontiguousarray(stack.reshape(len(keys), -1).T)
+    cols.setflags(write=False)
+    gram = _exact_product(cols.T, cols)
     if np.any(gram[np.ix_(hol, ~hol)]):
         raise InternalCheckFailure("the holomorphic and antiholomorphic columns are not orthogonal")
     weights, ranks = np.zeros(len(keys)), {}
@@ -358,35 +381,84 @@ def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
         weights[columns], ranks[kind] = _diagonal_pseudo_inverse(gram[np.ix_(columns, columns)])
         if ranks[kind] != dims[label]:
             raise InternalCheckFailure(f"{kind} columns of rank {ranks[kind]}, not dim {label} = {dims[label]}")
-    for arr in (kinds, weights):
+    small_gram = gram.astype(np.int8)  # kept for the K+ / K- bases
+    if not np.array_equal(small_gram, gram):
+        raise InternalCheckFailure("the Gram matrix of the coefficient map leaves the int8 range")
+    for arr in (small_gram, kinds, weights):
         arr.setflags(write=False)
-    return CurvatureCoefficientMap(config, cols, keys, kinds, weights, MappingProxyType(ranks))
+    return CurvatureCoefficientMap(config, cols, small_gram, keys, kinds, weights, MappingProxyType(ranks))
+
+
+def _gram_inner(gram: list[list[int]], x: list[int], y: list[int]) -> int:
+    """x^T G y in exact integers."""
+    return sum(xr * gr * ys for xr, row in zip(x, gram) for gr, ys in zip(row, y))
+
+
+def _column_basis(matrix: np.ndarray, gram: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the given integer columns of ``matrix``,
+    from its Gram matrix G = C^T C.
+
+    Columns in different connected components of the nonzero pattern of G
+    are orthogonal, so each component (1, 2 or 3 columns at m_bar <= 5) is
+    orthogonalized on its own, by Gram-Schmidt in exact integer arithmetic
+    on its Gram entries (each residual scaled to integer coefficients).  A
+    vector is kept only when its exact residual norm^2 is nonzero, so no
+    cutoff decides the rank; each kept row is normalized once, in float.
+    """
+    n = len(columns)
+    linked = (gram[np.ix_(columns, columns)] != 0) | np.eye(n, dtype=bool)
+    label = np.arange(n)
+    while True:  # each column takes the smallest label in its component
+        spread = np.where(linked, label, n).min(axis=1)
+        if np.array_equal(spread, label):
+            break
+        label = spread
+    order = np.argsort(label, kind="stable")
+    components = [columns[comp].tolist() for comp in np.split(order, np.flatnonzero(np.diff(label[order])) + 1)]
+    width = max(len(comp) for comp in components)
+    picks, weights = [], []
+    for comp in components:
+        g = gram[np.ix_(comp, comp)].astype(np.int64).tolist()
+        kept: list[tuple[list[int], int]] = []
+        for t in range(len(comp)):
+            # v_t minus its projections on the kept vectors, scaled by their
+            # norms^2 so that the coefficients on the columns stay integers
+            coef = [int(s == t) for s in range(len(comp))]
+            for prev, norm2 in kept:
+                overlap = _gram_inner(g, coef, prev)
+                coef = [norm2 * c - overlap * p for c, p in zip(coef, prev)]
+            norm2 = _gram_inner(g, coef, coef)
+            if norm2:
+                kept.append((coef, norm2))
+        for coef, norm2 in kept:
+            picks.append(comp + comp[:1] * (width - len(comp)))
+            weights.append([float(c) / math.sqrt(norm2) for c in coef] + [0.0] * (width - len(comp)))
+    picks, weights = np.array(picks), np.array(weights)
+    # gather whole columns (fast on the row-major matrix), transpose once
+    return sum(np.take(matrix, picks[:, t], axis=1) * weights[:, t] for t in range(width)).T
 
 
 @_per_size
 def kahler_parity_subspaces(config: SpaceConfig) -> tuple[Subspace, Subspace]:
     """(K+, K-): eigenspaces of full J-conjugation inside K.
 
-    K- is the span of the holomorphic columns of the coefficient map and K+
-    that of the antiholomorphic ones.  Every basis row must be fixed (K+) or
-    negated (K-) by the conjugation to 1e-10, and each basis must have the
-    exact rank of its columns, which coefficient_map proves to be the
-    closed-form dimension; together these make them the two eigenspaces of K.
+    K+ is the span of the antiholomorphic columns of the coefficient map and
+    K- that of the holomorphic ones: coefficient_map proves each column's
+    J-parity exactly and each kind's rank to be the closed-form dimension.
+    The orthonormal bases come from the columns (_column_basis) with no
+    singular-value decision; each must have exactly its kind's rank, and
+    Subspace re-checks orthonormality.  The rows are combinations of
+    columns of one exact parity, and J is a signed permutation, so the rows
+    have that parity too.
     """
     cmap = coefficient_map(config)
-    hol = cmap.column_mask(HOLOMORPHIC)
-    plus = orthonormalize(cmap.matrix[:, ~hol].T, tol=_RANK_TOL)
-    minus = orthonormalize(cmap.matrix[:, hol].T, tol=_RANK_TOL)
-    m = config.m
-    for label, sub, sign, kind in (("K+", plus, 1.0, ANTIHOLOMORPHIC), ("K-", minus, -1.0, HOLOMORPHIC)):
-        if sub.dim != cmap.ranks[kind]:
-            raise InternalCheckFailure(f"dim {label} = {sub.dim} by SVD, {cmap.ranks[kind]} exactly")
-        rows = sub.basis.reshape(-1, m, m, m, m)
-        conj = apply_j_slots(rows, config, (1, 2, 3, 4))
-        gap = float(np.max(np.abs(conj - sign * rows)))
-        if gap > 1e-10:
-            raise InternalCheckFailure(f"{label} basis has the wrong J-parity by {gap:.3e}")
-    return plus, minus
+    parts = []
+    for kind, label in ((ANTIHOLOMORPHIC, "K+"), (HOLOMORPHIC, "K-")):
+        rows = _column_basis(cmap.matrix, cmap.gram, np.flatnonzero(cmap.column_mask(kind)))
+        if len(rows) != cmap.ranks[kind]:
+            raise InternalCheckFailure(f"dim {label} = {len(rows)} from the columns, {cmap.ranks[kind]} exactly")
+        parts.append(Subspace(cmap.matrix.shape[0], rows))
+    return parts[0], parts[1]
 
 
 @_per_size
@@ -428,6 +500,31 @@ def _kernel(space: Subspace, parent_stack: np.ndarray, condition) -> Subspace:
     return kernel_within(space, images.reshape(space.dim, -1).T, tol=_RANK_TOL)
 
 
+def _swap_eigenspaces(n_plus: Subspace, plus: Subspace, plus_stack: np.ndarray) -> dict[str, Subspace]:
+    """W9, W10 and W11 in K+ coordinates: the eigenspaces of the swap S of
+    the last two slots, compressed to N+.
+
+    M = N (B S B^T) N^T on the N+ coordinates N, with B S B^T one product
+    of the swapped K+ stack with the K+ basis B.  A unit eigenvector x of M
+    with eigenvalue -1 or +1 has S x = -x or +x exactly (|<x, S x>| = 1 with
+    S orthogonal): it lies in W9 (S T = -T) or W10 (S T = T).  The other
+    eigenvectors span their complement in N+, W11, where the eigenvalue must
+    be 0.  Each eigenvector is labelled by its rounded eigenvalue, a margin
+    of 0.5; an eigenvalue further than 1e-10 from -1, 0 or 1 is an internal
+    error.
+    """
+    swapped = np.swapaxes(plus_stack, -1, -2).reshape(plus.dim, -1) @ plus.basis.T
+    values, vectors = np.linalg.eigh(n_plus.basis @ swapped @ n_plus.basis.T)
+    labels = np.clip(np.rint(values), -1.0, 1.0)
+    worst = float(np.max(np.abs(values - labels), initial=0.0))
+    if worst > 1e-10:
+        raise InternalCheckFailure(f"the last-pair swap on N+ has an eigenvalue {worst:.3e} off -1, 0 and 1")
+    return {
+        label: Subspace(n_plus.ambient_dim, vectors[:, labels == value].T @ n_plus.basis)
+        for label, value in (("W9", -1.0), ("W10", 1.0), ("W11", 0.0))
+    }
+
+
 # ---------------------------------------------------------------------------
 # the twelve modules
 # ---------------------------------------------------------------------------
@@ -454,7 +551,8 @@ def w_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
     rho14 kernel (W12) and split its complement by the symmetry type of rho14
     (W2 symmetric, W4 antisymmetric).  Inside K+ the joint rho13/rho14 kernel
     N+ splits by last-two-slot symmetry into W9 (antisymmetric), W10
-    (symmetric) and the leftover W11; the complement of N+ carries the two
+    (symmetric) and the leftover W11, the eigenspaces of the last-pair swap
+    compressed to N+ (_swap_eigenspaces); the complement of N+ carries the two
     scalar traces, whose kernel M0 splits into the rho13 kernel (W1 + W3,
     separated by the symmetry type of rho14) and its complement (W7 + W8,
     separated by the symmetry type of rho13), while the trace part itself
@@ -485,12 +583,7 @@ def w_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
     # K+ side: the joint trace kernel N+ and its complement M+.
     whole_plus = Subspace(plus.dim, np.eye(plus.dim))
     n_plus = _kernel(whole_plus, plus_stack, lambda t: np.stack([rho13_of(t), rho14_of(t)], axis=1))
-    coords["W9"] = _kernel(n_plus, plus_stack, _sym)
-    coords["W10"] = _kernel(n_plus, plus_stack, _antisym)
-    w9w10 = orthonormalize(
-        np.vstack([coords["W9"].basis, coords["W10"].basis]), ambient_dim=plus.dim
-    )
-    coords["W11"] = complement_within(w9w10, n_plus)
+    coords.update(_swap_eigenspaces(n_plus, plus, plus_stack))
 
     m_plus = complement_within(n_plus, whole_plus)
     m0 = _kernel(m_plus, plus_stack, lambda t: np.stack(taus(t), axis=1))

@@ -15,6 +15,7 @@ numpy's ``lstsq`` on the same columns is the test oracle.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +35,9 @@ from .decomposition import (
     CurvatureCoefficientMap,
     _coefficients_of,
     coefficient_map,
-    kahler_parity_subspaces,
     theta_from_coefficients,
 )
-from .errors import InternalCheckFailure
+from .errors import DomainViolation, InternalCheckFailure
 from .linalg import require_finite_solution
 from .tensors import (
     DEFAULT_TOL,
@@ -53,16 +53,22 @@ from .tensors import (
 #: Relative residual bound for a successful realization.
 REALIZE_TOL = 1e-8
 
+#: Largest absolute tensor entry realize accepts.  The off-origin curvature
+#: samples are quadratic in the input, and their norms first overflow at
+#: entries near 2^251.5 (measured at m_bar = 2, 3, 4); 2^200 keeps every
+#: reported number finite with a wide margin.
+MAX_REALIZE_ENTRY = 2.0**200
+
 
 def curvature_coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
     """The verified parameter-to-curvature matrix for this m_bar.
 
     It is the matrix K is built from: every column satisfies the defining
     identities, the column span is K at the closed-form dimension, and the
-    holomorphic / antiholomorphic columns span the odd / even parity parts.
-    Building the map and its parity split checks all of it, once per size.
+    holomorphic / antiholomorphic columns are exactly J-odd / J-even, so
+    they span the odd / even parity parts.  Building the map checks all of
+    it in exact arithmetic, once per size; no basis of K or K+/- is built.
     """
-    kahler_parity_subspaces(config)
     return coefficient_map(config)
 
 
@@ -134,7 +140,16 @@ def realize(tensor: Tensor4, mode: str = "joint") -> RealizationResult:
 
     The report also samples the curvature at five fixed non-origin points and
     records its distance from each parity eigenspace there (informational).
+    A tensor with an entry beyond MAX_REALIZE_ENTRY in absolute value is
+    rejected up front (DomainViolation), before any of it could overflow.
     """
+    largest = float(np.max(np.abs(tensor.entries)))
+    if largest > MAX_REALIZE_ENTRY:
+        raise DomainViolation(
+            f"realize accepts tensor entries up to 2^{math.log2(MAX_REALIZE_ENTRY):g} = {MAX_REALIZE_ENTRY:.3e} "
+            "in absolute value, "
+            f"got {largest:.3e}"
+        )
     symmetries = require_in_k(tensor)
     if mode not in ("joint", "split"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .connections import ThetaField
-from .decomposition import _column_keys, kahler_parity_subspaces, kahler_space_basis, theta_from_coefficients
+from .decomposition import _column_keys, kahler_parity_subspaces, theta_from_coefficients
 from .polynomials import ComplexPoly
 from .tensors import SpaceConfig, Tensor4
 
@@ -22,9 +22,12 @@ def random_point(config: SpaceConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_kahler_tensor(config: SpaceConfig, rng: np.random.Generator) -> Tensor4:
-    """A random element of the admissible space K (normal coefficients on its basis)."""
-    space = kahler_space_basis(config)
-    return Tensor4.from_flat(config, rng.standard_normal(space.dim) @ space.basis)
+    """A random element of the admissible space K (normal coefficients on its
+    basis, the K+ rows stacked over the K- rows, applied block by block so
+    that the stacked basis is never built)."""
+    plus, minus = kahler_parity_subspaces(config)
+    coeffs = rng.standard_normal(plus.dim + minus.dim)
+    return Tensor4.from_flat(config, coeffs[: plus.dim] @ plus.basis + coeffs[plus.dim :] @ minus.basis)
 
 
 def random_parity_tensor(config: SpaceConfig, rng: np.random.Generator, parity: str) -> Tensor4:

@@ -161,9 +161,11 @@ def apply_j_slots(entries: np.ndarray, config: SpaceConfig, slots: tuple[int, ..
     """Substitute J v into the given argument slots of a dense tensor.
 
     For a slot s, the result T satisfies T(..., x_s, ...) = A(..., J x_s, ...).
-    Exact in floating point since J is a signed index permutation.
+    Exact in floating point since J is a signed index permutation; integer
+    entries stay in their integer type.
     """
     perm, signs = config.j_action()
+    signs = signs.astype(np.result_type(entries, np.int8))
     out = entries
     for ax in slots:
         out = np.take(out, perm, axis=ax)

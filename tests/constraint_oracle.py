@@ -57,6 +57,30 @@ def kahler_constraint_matrix(config: SpaceConfig) -> np.ndarray:
     return np.vstack([antisym, bianchi, j_inv])
 
 
+def rank_mod_p(matrix: np.ndarray, p: int = 32749) -> int:
+    """Rank over GF(p) of an integer matrix, by Gaussian elimination.
+
+    A lower bound on the rank over Q, with no float cutoff.  Duplicate and
+    zero rows are dropped first; each pivot clears only the rows below it
+    that are nonzero in its column.
+    """
+    rows = np.unique(np.rint(matrix).astype(np.int64) % p, axis=0)
+    rows = rows[rows.any(axis=1)]
+    rank = 0
+    for col in range(rows.shape[1]):
+        live = rank + np.flatnonzero(rows[rank:, col])
+        if live.size == 0:
+            continue
+        rows[[rank, live[0]]] = rows[[live[0], rank]]
+        rows[rank] = rows[rank] * pow(int(rows[rank, col]), -1, p) % p
+        below = live[1:]
+        rows[below] = (rows[below] - np.outer(rows[below, col], rows[rank])) % p
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
 @lru_cache(maxsize=None)
 def nullspace_route_spaces(m_bar: int) -> tuple[Subspace, Subspace, Subspace]:
     """(K, K+, K-) from the constraint kernel and the parity symmetrizers."""

@@ -26,7 +26,7 @@ from affine_kahler.decomposition import (
     theta_from_coefficients,
     w_subspaces,
 )
-from affine_kahler.errors import DomainViolation
+from affine_kahler.errors import DomainViolation, InternalCheckFailure
 from affine_kahler.linalg import orthonormalize
 from affine_kahler.polynomials import ComplexPoly
 from affine_kahler.sampling import random_degree_one_theta, random_kahler_tensor
@@ -41,7 +41,7 @@ from affine_kahler.tensors import (
     ricci_traces,
     standard_complex_structure,
 )
-from constraint_oracle import ambient_w_subspaces, kahler_constraint_matrix, nullspace_route_spaces
+from constraint_oracle import ambient_w_subspaces, kahler_constraint_matrix, nullspace_route_spaces, rank_mod_p
 
 # Dimensions of the twelve modules, frozen from the closed forms.
 EXPECTED_W_DIMS = {
@@ -214,10 +214,81 @@ def _projector_gap(a, b) -> float:
 
 @pytest.mark.parametrize("m_bar", [2, 3, 4])
 def test_stacked_parity_bases_span_all_columns(m_bar):
-    # K = K+ (+) K- against the span of every coefficient-map column
+    # K+ / K- from exact Gram-Schmidt on the columns against an SVD basis of
+    # each column block, and K = K+ (+) K- against the span of every column
     cfg = SpaceConfig(m_bar)
-    every_column = orthonormalize(coefficient_map(cfg).matrix.T)
+    cmap = coefficient_map(cfg)
+    for space, kind in zip(kahler_parity_subspaces(cfg), ("anti", "hol")):
+        oracle = orthonormalize(cmap.matrix[:, cmap.column_mask(kind)].T, tol=1e-8)
+        assert _projector_gap(space, oracle) <= 1e-12
+    every_column = orthonormalize(cmap.matrix.T)
     assert _projector_gap(kahler_space_basis(cfg), every_column) <= 1e-10
+
+
+def _swap_kinds(stack, hol, anti):
+    # a holomorphic and an antiholomorphic column trade places: both still
+    # satisfy the identities, but each sits under the other kind's parity
+    stack[[hol, anti]] = stack[[anti, hol]]
+
+
+def _bump(stack, hol, anti):
+    stack[hol, 0, 1, 0, 1] += 1.0
+
+
+def _halve(stack, hol, anti):
+    stack[anti] *= 0.5
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [(_swap_kinds, "wrong J-parity"), (_bump, "violates the identities"), (_halve, "not integer-valued")],
+)
+def test_broken_coefficient_map_columns_are_internal_errors(monkeypatch, mutate, message):
+    from affine_kahler import decomposition
+
+    cfg = SpaceConfig(2)
+    cmap = coefficient_map(cfg)
+    nonzero = np.abs(cmap.matrix).sum(axis=0) > 0
+    hol = np.flatnonzero(nonzero & cmap.column_mask("hol"))[0]
+    anti = np.flatnonzero(nonzero & cmap.column_mask("anti") & np.any(cmap.matrix % 2, axis=0))[0]
+    build = decomposition.linear_curvature_from_gradients
+
+    def broken(*args):
+        stack = build(*args)
+        mutate(stack, hol, anti)
+        return stack
+
+    monkeypatch.setattr(decomposition, "linear_curvature_from_gradients", broken)
+    with pytest.raises(InternalCheckFailure, match=message):
+        decomposition.coefficient_map.__wrapped__(cfg)
+
+
+@pytest.mark.parametrize("m_bar", [2, 3, 4])
+def test_last_pair_swap_on_n_plus_has_spectrum_minus_one_zero_one(m_bar):
+    # on N+ = W9 + W11 + W10 the swap S of the last two slots, compressed,
+    # is -1 on W9, 0 on W11 and +1 on W10, with nothing in between
+    cfg = SpaceConfig(m_bar)
+    m = cfg.m
+    spaces = w_subspaces(cfg)
+    n_plus = np.vstack([spaces[label].basis for label in ("W9", "W11", "W10")])
+    swapped = np.swapaxes(n_plus.reshape(-1, m, m, m, m), -1, -2).reshape(len(n_plus), -1)
+    compressed = n_plus @ swapped.T
+    values = np.linalg.eigvalsh(compressed)
+    assert np.max(np.abs(values - np.rint(values))) <= 1e-12
+    expected = w_dimension_formulas(m_bar)
+    counts = {label: int(np.sum(np.rint(values) == value)) for label, value in (("W9", -1), ("W11", 0), ("W10", 1))}
+    assert counts == {label: expected[label] for label in counts}
+    blocks = np.repeat([-1.0, 0.0, 1.0], [expected["W9"], expected["W11"], expected["W10"]])
+    assert np.max(np.abs(compressed - np.diag(blocks))) <= 1e-12
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_constraint_rank_mod_p_bounds_dim_k_from_above(m_bar):
+    # rank over Q >= rank mod p, so dim K <= m^4 - rank_p with no float cutoff;
+    # the exact ranks of the coefficient map give the matching lower bound
+    cfg = SpaceConfig(m_bar)
+    rank_p = rank_mod_p(kahler_constraint_matrix(cfg))
+    assert cfg.m ** 4 - rank_p == module_dimension_table(m_bar).dims["K"] == coefficient_map(cfg).rank()
 
 
 @pytest.mark.parametrize("m_bar", [2, 3])
@@ -232,18 +303,30 @@ def test_coordinate_modules_match_ambient_oracle(m_bar):
 
 def test_rank_decisions_keep_wide_margins(monkeypatch):
     # every singular-value decision of the cold build at m_bar = 2, 3, 4; the
-    # realization solve makes none
-    from affine_kahler import linalg, realization
+    # K+ / K- bases, the W9 / W10 / W11 split and the realization solve make
+    # none
+    from affine_kahler import decomposition, linalg, realization
 
     threshold = linalg._rank_threshold
     decisions = []
+    step_decisions = []
 
     def recorded(singular_values, shape, tol):
         cutoff = threshold(singular_values, shape, tol)
         decisions.append((np.array(singular_values), cutoff))
         return cutoff
 
+    def decision_free(fn):
+        def wrapper(*args):
+            before = len(decisions)
+            out = fn(*args)
+            step_decisions.append(len(decisions) - before)
+            return out
+        return wrapper
+
     monkeypatch.setattr(linalg, "_rank_threshold", recorded)
+    for name in ("kahler_parity_subspaces", "_swap_eigenspaces"):
+        monkeypatch.setattr(decomposition, name, decision_free(getattr(decomposition, name)))
     clear_caches()
     for m_bar in (2, 3, 4):
         computed_dimension_table(SpaceConfig(m_bar))
@@ -252,7 +335,7 @@ def test_rank_decisions_keep_wide_margins(monkeypatch):
         for mode in ("joint", "split"):
             realization._solve_coefficients(tensor, mode)
         assert len(decisions) == before
-    assert decisions
+    assert decisions and step_decisions and not any(step_decisions)
     for svals, cutoff in decisions:
         kept, dropped = svals[svals > cutoff], svals[svals <= cutoff]
         if kept.size:

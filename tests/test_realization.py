@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from affine_kahler.decomposition import coefficient_map, kahler_parity_subspaces
 from affine_kahler.errors import DomainViolation
 from affine_kahler.linalg import least_squares_solve
 from affine_kahler.realization import (
+    MAX_REALIZE_ENTRY,
     _solve_coefficients,
     curvature_coefficient_map,
     realize,
@@ -167,12 +169,16 @@ def test_solver_matches_lstsq_oracle(m_bar, mode):
 
 @pytest.mark.parametrize("m_bar", [2, 3, 4])
 def test_map_build_and_solves_factorize_nothing(m_bar, monkeypatch):
-    # with K+ / K- warm, a cold build of the map (its exact pseudo-inverse
-    # included) and a joint and a split solve call no numpy factorization
+    # a cold build of the map (its exact pseudo-inverse and J-parity check
+    # included) and a joint and a split realization call no numpy
+    # factorization and build no basis of K or K+/-; a cold K+/K- build
+    # from the columns calls no factorization either
     from affine_kahler import decomposition
 
     cfg = SpaceConfig(m_bar)
-    tensor = random_kahler_tensor(cfg, np.random.default_rng(m_bar))  # warms K+ / K-
+    tensor = random_kahler_tensor(cfg, np.random.default_rng(m_bar))
+    warm = coefficient_map(cfg)
+    decomposition.clear_caches()
     calls = []
 
     def counted(name, fn):
@@ -183,12 +189,34 @@ def test_map_build_and_solves_factorize_nothing(m_bar, monkeypatch):
 
     for name in ("svd", "pinv", "lstsq", "eigh", "matrix_rank"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    cold = decomposition.coefficient_map.__wrapped__(cfg)
+    for name in ("kahler_parity_subspaces", "kahler_space_basis"):
+        monkeypatch.setattr(decomposition, name, counted(name, getattr(decomposition, name)))
+    cold = curvature_coefficient_map(cfg)
     for mode in ("joint", "split"):
-        _solve_coefficients(tensor, mode)
+        assert realize(tensor, mode=mode).verified
     assert calls == []
-    warm = coefficient_map(cfg)
+    decomposition.kahler_parity_subspaces(cfg)
+    assert calls == ["kahler_parity_subspaces"]
     assert cold.ranks == warm.ranks and np.array_equal(cold.weights, warm.weights)
+
+
+@pytest.mark.parametrize("m_bar", [2, 3, 4])
+def test_entries_up_to_the_bound_keep_every_reported_number_finite(m_bar):
+    # an exact integer tensor of K scaled to entries in (2^199, 2^200]: the
+    # off-origin samples, quadratic in the input, stay finite with no warning
+    cfg = SpaceConfig(m_bar)
+    cmap = coefficient_map(cfg)
+    flat = cmap.matrix @ np.random.default_rng(m_bar).integers(-3, 4, len(cmap.columns)).astype(float)
+    flat *= MAX_REALIZE_ENTRY / 2.0 ** np.ceil(np.log2(np.abs(flat).max()))
+    tensor = Tensor4.from_flat(cfg, flat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in ("joint", "split"):
+            result = realize(tensor, mode=mode)
+            assert result.verified
+            assert all(np.isfinite(value) for value in result.report.values())
+    with pytest.raises(DomainViolation, match=r"up to 2\^200"):
+        realize(tensor * np.nextafter(1.0, 2.0) * (MAX_REALIZE_ENTRY / np.abs(flat).max()))
 
 
 @pytest.mark.parametrize("mode", ["joint", "split"])

@@ -242,6 +242,41 @@ def test_cli_realize_of_a_fixture_writes_no_rounding_noise(tmp_path, capsys):
     assert sum(len(entry["u"]) + len(entry["v"]) for entry in entries) == 2
 
 
+def _scaled_w9_fixture(tmp_path, exponent: int) -> Path:
+    payload = json.loads((FIXTURES / "tensor_w9.json").read_text())
+    payload["tensor"] = [value * 2.0**exponent for value in payload["tensor"]]
+    path = tmp_path / f"w9_x2^{exponent}.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("exponent", [300, 1000, 1021])
+def test_cli_realize_rejects_huge_entries_up_front(tmp_path, exponent):
+    # each probe once overflowed somewhere: an infinite off-site report, a
+    # non-finite result tensor (exit 2), a non-finite solve after a warning
+    done = subprocess.run(
+        [sys.executable, "-m", "affine_kahler", "realize", "--input", str(_scaled_w9_fixture(tmp_path, exponent)),
+         "--out", str(tmp_path / "theta.json")],
+        capture_output=True,
+        text=True,
+        cwd=str(FIXTURES.parent),
+    )
+    assert done.returncode == 1
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "2^200" in lines[0]
+    assert "RuntimeWarning" not in done.stderr
+    assert not (tmp_path / "theta.json").exists()
+
+
+def test_cli_realize_at_the_entry_bound_reports_finite_numbers(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    source = _scaled_w9_fixture(tmp_path, 200)
+    assert run_cli("realize", "--input", str(source), "--out", str(tmp_path / "theta.json"), "--report", str(report)) == 0
+    assert "verified true" in capsys.readouterr().out
+    payload = json.loads(report.read_text())
+    assert all(np.isfinite(value) for value in [payload["residual"], *payload["report"].values()])
+
+
 def test_cli_curvature_zero_theta(tmp_path, capsys):
     theta_path = tmp_path / "theta.json"
     theta_path.write_text(json.dumps({"m_bar": 2, "entries": []}), encoding="utf-8")
