@@ -10,7 +10,9 @@ is edited.  Every run's metrics are kept.  Per workload, trace setting and
 metric the output holds each side's runs, median and inclusive quartiles,
 how many pairs the change won (ties count for neither; the direction comes
 from the change's BENCHMARK.json), the signed relative worsening of the
-median and, for end-to-end metrics, the benchmark's bound.  Runs already in
+median and, for end-to-end metrics, the benchmark's bound and a verdict
+(``worse``, ``unresolved`` or ``within_bound``, see ``verdict``), plus the
+failed share of operations per side.  Runs already in
 ``--out`` are kept and the summary is recomputed over all of them, so traced
 and untraced series can be added by separate invocations.
 """
@@ -83,6 +85,21 @@ def side_summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
 
 
+def verdict(parent: dict, change: dict, sign: float, bound: float) -> str:
+    """``worse`` when the change's median is worse than the parent's by more
+    than the bound; else ``unresolved`` when the parent's IQR exceeds the
+    bound relative to its median, unless every change run beats every parent
+    run; else ``within_bound``.  The sides are side_summary dicts; ``sign``
+    is +1 when higher is better."""
+    p_med = abs(parent["median"]) or 1.0
+    if -sign * (change["median"] - parent["median"]) / p_med > bound:
+        return "worse"
+    every_run_better = min(sign * c for c in change["runs"]) > max(sign * p for p in parent["runs"])
+    if (parent["q3"] - parent["q1"]) / p_med > bound and not every_run_better:
+        return "unresolved"
+    return "within_bound"
+
+
 def summarize(runs: list[dict], benchmark: dict) -> dict:
     better = {entry["name"]: entry["better"] for entry in benchmark["end_to_end"] + benchmark["per_layer"]}
     bounds = {entry["name"]: entry["bound"] for entry in benchmark["end_to_end"]}
@@ -101,6 +118,10 @@ def summarize(runs: list[dict], benchmark: dict) -> dict:
             "attempted": {side: sum(pair[side]["attempted"] for pair in complete) for side in ("parent", "change")},
             "metrics": {},
         }
+        section["failed_share"] = {
+            side: section["failed"][side] / section["attempted"][side] if section["attempted"][side] else 0.0
+            for side in ("parent", "change")
+        }
         for name in names:
             parent = [pair["parent"]["metrics"][name] for pair in complete]
             change = [pair["change"]["metrics"][name] for pair in complete]
@@ -113,6 +134,7 @@ def summarize(runs: list[dict], benchmark: dict) -> dict:
             entry["median_gain_exceeds_parent_iqr"] = sign * (c_med - p_med) > entry["parent"]["q3"] - entry["parent"]["q1"]
             if name in bounds:
                 entry["bound"] = bounds[name]
+                entry["verdict"] = verdict(entry["parent"], entry["change"], sign, bounds[name])
             section["metrics"][name] = entry
         out[f"{workload}/trace{trace}"] = section
     return out

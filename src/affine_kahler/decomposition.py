@@ -15,10 +15,9 @@ is their stack, K = K+ (+) K-.  The kernel of the integer constraint matrix of
 the three identities is an independent oracle for K kept in the tests.
 The twelve mutually orthogonal submodules W1..W12 are carved out of K+ and
 K- in coordinates on their bases, by kernel and symmetry conditions on the
-trace maps (W9, W10, W11 by one eigendecomposition of the last-pair swap),
-and lifted to R^(m^4) once; every dimension and orthogonality claim is
-re-verified during construction and a failure raises loudly instead of
-returning a bad basis.
+trace images of the bases (W9, W10, W11 by one eigendecomposition of the
+last-pair swap), checked against the closed-form dimensions and by one
+orthonormal-basis certificate per parity part, and lifted to R^(m^4) once.
 
 Bilinear forms decompose in parallel into six pieces: symmetric/antisymmetric
 crossed with J-parity, with the metric and Kahler-form lines split off the
@@ -37,7 +36,7 @@ import numpy as np
 
 from .connections import ThetaField, degree_one_gradients, linear_curvature_from_gradients
 from .errors import DomainViolation, InternalCheckFailure
-from .linalg import Subspace, complement_within, kernel_within, orthonormalize
+from .linalg import Subspace, kernel_and_rest, orthonormalize
 from .tensors import (
     DEFAULT_TOL,
     Bilinear2,
@@ -46,6 +45,7 @@ from .tensors import (
     apply_j_slots,
     k_identity_violations,
     kahler_form,
+    require_bounded_entries,
     require_in_k,
     rho13_of,
     rho14_of,
@@ -261,13 +261,6 @@ class CurvatureCoefficientMap:
     def column_mask(self, kind: str) -> np.ndarray:
         return self.kinds == kind
 
-    def rank(self) -> int:
-        # the two column kinds are orthogonal, so their ranks add up
-        return sum(self.ranks.values())
-
-    def restricted_rank(self, kind: str) -> int:
-        return self.ranks[kind]
-
 
 def _j_conjugation(config: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
     """Full J-conjugation of flattened tensors as one signed gather:
@@ -475,8 +468,11 @@ def kahler_space_basis(config: SpaceConfig) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# linear conditions on whole basis stacks
+# the twelve modules
 # ---------------------------------------------------------------------------
+
+_MINUS_LABELS = ("W2", "W4", "W12")
+
 
 def _sym(arr: np.ndarray) -> np.ndarray:
     """Symmetrization in the last two axes (up to the factor 1/2)."""
@@ -488,23 +484,22 @@ def _antisym(arr: np.ndarray) -> np.ndarray:
     return arr - np.swapaxes(arr, -1, -2)
 
 
-def _kernel(space: Subspace, parent_stack: np.ndarray, condition) -> Subspace:
-    """Kernel within ``space`` of a linear condition on stacked dense tensors.
+def _carve(images: np.ndarray, space: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel of a linear condition within the coordinate rows ``space``
+    (None: the whole parent) and its complement there, from one SVD, as
+    orthonormal rows in parent coordinates.  ``images`` holds the condition's
+    image of each parent basis vector, so those of ``space`` are
+    ``space @ images``."""
+    own = images if space is None else np.tensordot(space, images, axes=1)
+    kernel, rest = kernel_and_rest(own.reshape(len(own), -1).T, tol=_RANK_TOL)
+    return (kernel, rest) if space is None else (kernel @ space, rest @ space)
 
-    ``space`` lives in coordinates on a parent basis whose (dim, m, m, m, m)
-    tensor stack is ``parent_stack``; ``condition`` maps the stack of the
-    basis tensors of ``space`` to one image per tensor along the leading
-    axis.  The kernel is again in parent coordinates.
-    """
-    images = condition(np.tensordot(space.basis, parent_stack, axes=1))
-    return kernel_within(space, images.reshape(space.dim, -1).T, tol=_RANK_TOL)
 
-
-def _swap_eigenspaces(n_plus: Subspace, plus: Subspace, plus_stack: np.ndarray) -> dict[str, Subspace]:
+def _swap_eigenspaces(n_plus: np.ndarray, plus: Subspace, plus_stack: np.ndarray) -> dict[str, np.ndarray]:
     """W9, W10 and W11 in K+ coordinates: the eigenspaces of the swap S of
     the last two slots, compressed to N+.
 
-    M = N (B S B^T) N^T on the N+ coordinates N, with B S B^T one product
+    M = N (B S B^T) N^T on the N+ coordinate rows N, with B S B^T one product
     of the swapped K+ stack with the K+ basis B.  A unit eigenvector x of M
     with eigenvalue -1 or +1 has S x = -x or +x exactly (|<x, S x>| = 1 with
     S orthogonal): it lies in W9 (S T = -T) or W10 (S T = T).  The other
@@ -514,33 +509,28 @@ def _swap_eigenspaces(n_plus: Subspace, plus: Subspace, plus_stack: np.ndarray) 
     error.
     """
     swapped = np.swapaxes(plus_stack, -1, -2).reshape(plus.dim, -1) @ plus.basis.T
-    values, vectors = np.linalg.eigh(n_plus.basis @ swapped @ n_plus.basis.T)
+    values, vectors = np.linalg.eigh(n_plus @ swapped @ n_plus.T)
     labels = np.clip(np.rint(values), -1.0, 1.0)
     worst = float(np.max(np.abs(values - labels), initial=0.0))
     if worst > 1e-10:
         raise InternalCheckFailure(f"the last-pair swap on N+ has an eigenvalue {worst:.3e} off -1, 0 and 1")
     return {
-        label: Subspace(n_plus.ambient_dim, vectors[:, labels == value].T @ n_plus.basis)
+        label: vectors[:, labels == value].T @ n_plus
         for label, value in (("W9", -1.0), ("W10", 1.0), ("W11", 0.0))
     }
 
 
-# ---------------------------------------------------------------------------
-# the twelve modules
-# ---------------------------------------------------------------------------
-
-def _check_pairwise_orthogonal(spaces: dict[str, Subspace], tol: float) -> None:
-    labels = list(spaces)
-    for a_idx, la in enumerate(labels):
-        for lb in labels[a_idx + 1 :]:
-            sa, sb = spaces[la], spaces[lb]
-            if sa.dim == 0 or sb.dim == 0:
-                continue
-            overlap = float(np.max(np.abs(sa.basis @ sb.basis.T)))
-            if overlap > tol:
-                raise InternalCheckFailure(
-                    f"modules {la} and {lb} are not orthogonal: overlap {overlap:.3e}"
-                )
+def _certify_parity(label: str, modules: list[np.ndarray]) -> None:
+    """The coordinate rows of the modules of one parity part, stacked into Q,
+    must satisfy max |Q Q^T - I| <= 1e-10 with Q square: then each module is
+    orthonormal, the modules are mutually orthogonal and together they fill
+    the part."""
+    q = np.vstack(modules)
+    worst = float(np.max(np.abs(q @ q.T - np.eye(len(q))), initial=0.0))
+    if q.shape[0] != q.shape[1] or worst > 1e-10:
+        raise InternalCheckFailure(
+            f"the modules of {label} are no orthonormal basis of it: Q is {q.shape}, max |Q Q^T - I| = {worst:.3e}"
+        )
 
 
 @_per_size
@@ -558,61 +548,53 @@ def w_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
     separated by the symmetry type of rho13), while the trace part itself
     splits into W5 (tau_tilde = 0) and W6 (tau = 0).
 
-    Dimensions and pairwise orthogonality are verified against the closed
-    forms; any mismatch raises InternalCheckFailure.
+    Each module but W9, W10, W11 is the kernel of its own defining condition
+    (_carve); only the four intermediate spaces are complements.  Dimensions
+    must match the closed forms and each parity part must pass
+    _certify_parity, or InternalCheckFailure is raised.
     """
-    # Every module is carved in coordinates on the K- or K+ basis and lifted
-    # to R^(m^4) once, at the end.
+    # Every module is carved in coordinates on the K- or K+ basis from the
+    # m^2-long trace images of the basis, computed once, and lifted to
+    # R^(m^4) once, at the end.
     m = config.m
     plus, minus = kahler_parity_subspaces(config)
     plus_stack = plus.basis.reshape(-1, m, m, m, m)
-    minus_stack = minus.basis.reshape(-1, m, m, m, m)
-    coords: dict[str, Subspace] = {}
-
-    def taus(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return scalar_traces(rho14_of(stack), config)
+    rho13, rho14 = rho13_of(plus_stack), rho14_of(plus_stack)
+    tau, tau_tilde = scalar_traces(rho14, config)
+    minus_rho14 = rho14_of(minus.basis.reshape(-1, m, m, m, m))
+    coords: dict[str, np.ndarray] = {}
 
     # K- side: W12, then W2 / W4.
-    whole_minus = Subspace(minus.dim, np.eye(minus.dim))
-    w12 = _kernel(whole_minus, minus_stack, rho14_of)
-    w2w4 = complement_within(w12, whole_minus)
-    coords["W12"] = w12
-    coords["W2"] = _kernel(w2w4, minus_stack, lambda t: _antisym(rho14_of(t)))
-    coords["W4"] = _kernel(w2w4, minus_stack, lambda t: _sym(rho14_of(t)))
+    coords["W12"], w2w4 = _carve(minus_rho14)
+    coords["W2"], _ = _carve(_antisym(minus_rho14), w2w4)
+    coords["W4"], _ = _carve(_sym(minus_rho14), w2w4)
 
     # K+ side: the joint trace kernel N+ and its complement M+.
-    whole_plus = Subspace(plus.dim, np.eye(plus.dim))
-    n_plus = _kernel(whole_plus, plus_stack, lambda t: np.stack([rho13_of(t), rho14_of(t)], axis=1))
+    n_plus, m_plus = _carve(np.stack([rho13, rho14], axis=1))
     coords.update(_swap_eigenspaces(n_plus, plus, plus_stack))
 
-    m_plus = complement_within(n_plus, whole_plus)
-    m0 = _kernel(m_plus, plus_stack, lambda t: np.stack(taus(t), axis=1))
-    w5w6 = complement_within(m0, m_plus)
-    coords["W5"] = _kernel(w5w6, plus_stack, lambda t: taus(t)[1])
-    coords["W6"] = _kernel(w5w6, plus_stack, lambda t: taus(t)[0])
+    m0, w5w6 = _carve(np.stack([tau, tau_tilde], axis=1), m_plus)
+    coords["W5"], _ = _carve(tau_tilde, w5w6)
+    coords["W6"], _ = _carve(tau, w5w6)
 
-    w1w3 = _kernel(m0, plus_stack, rho13_of)
-    w7w8 = complement_within(w1w3, m0)
-    coords["W1"] = _kernel(w1w3, plus_stack, lambda t: _antisym(rho14_of(t)))
-    coords["W3"] = _kernel(w1w3, plus_stack, lambda t: _sym(rho14_of(t)))
-    coords["W7"] = _kernel(w7w8, plus_stack, lambda t: _antisym(rho13_of(t)))
-    coords["W8"] = _kernel(w7w8, plus_stack, lambda t: _sym(rho13_of(t)))
+    w1w3, w7w8 = _carve(rho13, m0)
+    coords["W1"], _ = _carve(_antisym(rho14), w1w3)
+    coords["W3"], _ = _carve(_sym(rho14), w1w3)
+    coords["W7"], _ = _carve(_antisym(rho13), w7w8)
+    coords["W8"], _ = _carve(_sym(rho13), w7w8)
 
     expected = w_dimension_formulas(config.m_bar)
     for label in W_LABELS:
-        if coords[label].dim != expected[label]:
+        if len(coords[label]) != expected[label]:
             raise InternalCheckFailure(
-                f"{label} has dimension {coords[label].dim}, expected {expected[label]}"
+                f"{label} has dimension {len(coords[label])}, expected {expected[label]}"
             )
-    ordered = {
-        label: Subspace(
-            plus.ambient_dim,
-            coords[label].basis @ (minus if label in ("W2", "W4", "W12") else plus).basis,
-        )
+    _certify_parity("K+", [coords[label] for label in W_LABELS if label not in _MINUS_LABELS])
+    _certify_parity("K-", [coords[label] for label in _MINUS_LABELS])
+    return {
+        label: Subspace(plus.ambient_dim, coords[label] @ (minus if label in _MINUS_LABELS else plus).basis)
         for label in W_LABELS
     }
-    _check_pairwise_orthogonal(ordered, 1e-10)
-    return ordered
 
 
 @dataclass(frozen=True)
@@ -625,7 +607,9 @@ class WDecomposition:
 
 
 def w_project(tensor: Tensor4, tol: float = DEFAULT_TOL) -> WDecomposition:
-    """Orthogonal projection of a tensor in K onto each of the twelve modules."""
+    """Orthogonal projection of a tensor in K onto each of the twelve modules;
+    an entry beyond MAX_ENTRY in absolute value is rejected up front."""
+    require_bounded_entries(tensor, "decompose")
     require_in_k(tensor, tol=tol)
     spaces = w_subspaces(tensor.config)
     flat = tensor.flatten()
@@ -734,10 +718,11 @@ def bilinear_subspaces(config: SpaceConfig) -> dict[str, Subspace]:
 
 
 def computed_dimension_table(config: SpaceConfig) -> DimensionTable:
-    """Dimensions measured on the constructed subspaces (independent of the formulas)."""
+    """Dimensions measured on the constructed subspaces (independent of the
+    formulas); dim K+ + dim K- is dim K, the parts being exactly orthogonal."""
     plus, minus = kahler_parity_subspaces(config)
     dims: dict[str, int] = {
-        "K": kahler_space_basis(config).dim,
+        "K": plus.dim + minus.dim,
         "K+": plus.dim,
         "K-": minus.dim,
     }

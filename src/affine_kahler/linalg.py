@@ -88,18 +88,25 @@ def orthonormalize(vectors, tol: float | None = None, ambient_dim: int | None = 
     return Subspace(mat.shape[1], u[:, :rank].T)
 
 
-def nullspace(mat: np.ndarray, tol: float | None = None) -> Subspace:
-    """Orthonormal basis of the kernel of a dense matrix."""
+def kernel_and_rest(mat: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal rows spanning the kernel of a dense matrix and its row
+    space, from one SVD: the right singular vectors at or below the rank
+    cutoff, and the others."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     rows, cols = mat.shape
     if rows == 0 or not mat.any():
-        return Subspace(cols, np.eye(cols))
+        return np.eye(cols), np.zeros((0, cols))
     # A tall matrix already yields a square V^T from the thin SVD; only a wide
     # one needs the full factor.  The rows x rows U factor is never used.
     _, svals, vt = np.linalg.svd(mat, full_matrices=rows < cols)
-    cutoff = _rank_threshold(svals, mat.shape, tol)
-    rank = int(np.sum(svals > cutoff))
-    return Subspace(cols, vt[rank:])
+    rank = int(np.sum(svals > _rank_threshold(svals, mat.shape, tol)))
+    return vt[rank:], vt[:rank]
+
+
+def nullspace(mat: np.ndarray, tol: float | None = None) -> Subspace:
+    """Orthonormal basis of the kernel of a dense matrix."""
+    kernel, _ = kernel_and_rest(mat, tol)
+    return Subspace(kernel.shape[1], kernel)
 
 
 def complement_within(sub: Subspace, ambient: Subspace, tol: float = 1e-9) -> Subspace:

@@ -15,7 +15,6 @@ numpy's ``lstsq`` on the same columns is the test oracle.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .decomposition import (
     coefficient_map,
     theta_from_coefficients,
 )
-from .errors import DomainViolation, InternalCheckFailure
+from .errors import InternalCheckFailure
 from .linalg import require_finite_solution
 from .tensors import (
     DEFAULT_TOL,
@@ -47,17 +46,12 @@ from .tensors import (
     _parity_parts,
     classify_symmetries,
     j_parity_residuals,
+    require_bounded_entries,
     require_in_k,
 )
 
 #: Relative residual bound for a successful realization.
 REALIZE_TOL = 1e-8
-
-#: Largest absolute tensor entry realize accepts.  The off-origin curvature
-#: samples are quadratic in the input, and their norms first overflow at
-#: entries near 2^251.5 (measured at m_bar = 2, 3, 4); 2^200 keeps every
-#: reported number finite with a wide margin.
-MAX_REALIZE_ENTRY = 2.0**200
 
 
 def curvature_coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
@@ -140,16 +134,10 @@ def realize(tensor: Tensor4, mode: str = "joint") -> RealizationResult:
 
     The report also samples the curvature at five fixed non-origin points and
     records its distance from each parity eigenspace there (informational).
-    A tensor with an entry beyond MAX_REALIZE_ENTRY in absolute value is
+    A tensor with an entry beyond MAX_ENTRY in absolute value is
     rejected up front (DomainViolation), before any of it could overflow.
     """
-    largest = float(np.max(np.abs(tensor.entries)))
-    if largest > MAX_REALIZE_ENTRY:
-        raise DomainViolation(
-            f"realize accepts tensor entries up to 2^{math.log2(MAX_REALIZE_ENTRY):g} = {MAX_REALIZE_ENTRY:.3e} "
-            "in absolute value, "
-            f"got {largest:.3e}"
-        )
+    require_bounded_entries(tensor, "realize")
     symmetries = require_in_k(tensor)
     if mode not in ("joint", "split"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -26,7 +26,6 @@ from .decomposition import (
     W_LABELS,
     bilinear_subspaces,
     kahler_parity_subspaces,
-    kahler_space_basis,
     w_dimension_formulas,
     w_project,
     w_subspaces,
@@ -289,9 +288,9 @@ def _connection_checks(config: SpaceConfig, rng: np.random.Generator, trials: in
 def _realization_checks(config: SpaceConfig, rng: np.random.Generator, trials: int) -> list[CheckItem]:
     cmap = curvature_coefficient_map(config)
     plus, minus = kahler_parity_subspaces(config)
-    rank_gap = float(kahler_space_basis(config).dim - cmap.rank())
-    hol_gap = float(minus.dim - cmap.restricted_rank("hol"))
-    anti_gap = float(plus.dim - cmap.restricted_rank("anti"))
+    rank_gap = float(plus.dim + minus.dim - sum(cmap.ranks.values()))
+    hol_gap = float(minus.dim - cmap.ranks["hol"])
+    anti_gap = float(plus.dim - cmap.ranks["anti"])
 
     hol_cols = cmap.matrix[:, cmap.column_mask("hol")]
     anti_cols = cmap.matrix[:, cmap.column_mask("anti")]

@@ -8,6 +8,7 @@ a >= m_bar maps to a - m_bar with sign -1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,12 @@ from .errors import DomainViolation
 
 #: Default absolute tolerance for symmetry predicates on O(1)-scale entries.
 DEFAULT_TOL = 1e-9
+
+#: Largest absolute tensor entry realize and w_project accept, with a wide
+#: margin: the norms of realize's off-origin samples, quadratic in the input,
+#: first overflow near 2^251.5 (m_bar = 2, 3, 4), those w_project reports
+#: between 2^508 and 2^510 (fixtures/tensor_w9.json).
+MAX_ENTRY = 2.0**200
 
 #: Names of the checked tensor identities, in report order.
 IDENTITY_NAMES = (
@@ -310,6 +317,16 @@ def classify_symmetries(tensor: Tensor4, tol: float = DEFAULT_TOL) -> SymmetryRe
     violations["kahler_operator_1i"] = _max_abs(comm)
 
     return SymmetryReport(tol=tol, violations={name: violations[name] for name in IDENTITY_NAMES})
+
+
+def require_bounded_entries(tensor: Tensor4, operation: str) -> None:
+    """Raise DomainViolation, naming the bound, if |entry| > MAX_ENTRY."""
+    largest = _max_abs(tensor.entries)
+    if largest > MAX_ENTRY:
+        raise DomainViolation(
+            f"{operation} accepts tensor entries up to 2^{math.log2(MAX_ENTRY):g} = {MAX_ENTRY:.3e} "
+            f"in absolute value, got {largest:.3e}"
+        )
 
 
 def require_in_k(tensor: Tensor4, tol: float = DEFAULT_TOL) -> SymmetryReport:

@@ -164,9 +164,9 @@ def test_criterion_6_surjectivity_of_the_curvature_map():
         cmap = curvature_coefficient_map(cfg)
         plus, minus = kahler_parity_subspaces(cfg)
         dim_k = plus.dim + minus.dim
-        assert cmap.rank() == dim_k
-        assert cmap.restricted_rank("hol") == minus.dim
-        assert cmap.restricted_rank("anti") == plus.dim
+        assert sum(cmap.ranks.values()) == dim_k
+        assert cmap.ranks["hol"] == minus.dim
+        assert cmap.ranks["anti"] == plus.dim
         # the exact ranks against an SVD rank of the same columns
         assert np.linalg.matrix_rank(cmap.matrix) == dim_k
         assert np.linalg.matrix_rank(cmap.matrix[:, cmap.column_mask("hol")]) == minus.dim
@@ -175,7 +175,7 @@ def test_criterion_6_surjectivity_of_the_curvature_map():
             assert minus.residual(col) <= 1e-9 * max(1.0, float(np.linalg.norm(col)))
         for col in cmap.matrix[:, cmap.column_mask("anti")].T:
             assert plus.residual(col) <= 1e-9 * max(1.0, float(np.linalg.norm(col)))
-        details.append(f"m_bar={m_bar}: rank {cmap.rank()}={dim_k}, spans {minus.dim}/{plus.dim}")
+        details.append(f"m_bar={m_bar}: rank {sum(cmap.ranks.values())}={dim_k}, spans {minus.dim}/{plus.dim}")
     report(6, True, "curvature map surjective; parity spans match: " + "; ".join(details))
 
 

@@ -14,11 +14,10 @@ from affine_kahler.connections import (
     curvature_at,
     holomorphy_type,
 )
-from affine_kahler.decomposition import coefficient_map, kahler_parity_subspaces, kahler_space_basis
+from affine_kahler.decomposition import coefficient_map, kahler_parity_subspaces, kahler_space_basis, w_project
 from affine_kahler.errors import DomainViolation
 from affine_kahler.linalg import least_squares_solve
 from affine_kahler.realization import (
-    MAX_REALIZE_ENTRY,
     _solve_coefficients,
     curvature_coefficient_map,
     realize,
@@ -29,6 +28,7 @@ from affine_kahler.realization import (
 from affine_kahler.sampling import random_degree_one_theta, random_kahler_tensor, random_point
 from affine_kahler.serialization import read_tensor_file
 from affine_kahler.tensors import (
+    MAX_ENTRY,
     SpaceConfig,
     Tensor4,
     classify_symmetries,
@@ -47,9 +47,9 @@ def test_map_ranks(m_bar):
     # the exact ranks against the closed forms and an SVD rank of the same columns
     cmap = curvature_coefficient_map(SpaceConfig(m_bar))
     total, hol, anti = EXPECTED_RANKS[m_bar]
-    assert cmap.rank() == total == kahler_space_basis(SpaceConfig(m_bar)).dim
-    assert cmap.restricted_rank("hol") == hol
-    assert cmap.restricted_rank("anti") == anti
+    assert sum(cmap.ranks.values()) == total == kahler_space_basis(SpaceConfig(m_bar)).dim
+    assert cmap.ranks["hol"] == hol
+    assert cmap.ranks["anti"] == anti
     assert np.linalg.matrix_rank(cmap.matrix) == total
     for kind, rank in (("hol", hol), ("anti", anti)):
         assert np.linalg.matrix_rank(cmap.matrix[:, cmap.column_mask(kind)]) == rank
@@ -203,11 +203,12 @@ def test_map_build_and_solves_factorize_nothing(m_bar, monkeypatch):
 @pytest.mark.parametrize("m_bar", [2, 3, 4])
 def test_entries_up_to_the_bound_keep_every_reported_number_finite(m_bar):
     # an exact integer tensor of K scaled to entries in (2^199, 2^200]: the
-    # off-origin samples, quadratic in the input, stay finite with no warning
+    # off-origin samples, quadratic in the input, and the module norms stay
+    # finite with no warning
     cfg = SpaceConfig(m_bar)
     cmap = coefficient_map(cfg)
     flat = cmap.matrix @ np.random.default_rng(m_bar).integers(-3, 4, len(cmap.columns)).astype(float)
-    flat *= MAX_REALIZE_ENTRY / 2.0 ** np.ceil(np.log2(np.abs(flat).max()))
+    flat *= MAX_ENTRY / 2.0 ** np.ceil(np.log2(np.abs(flat).max()))
     tensor = Tensor4.from_flat(cfg, flat)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -215,8 +216,12 @@ def test_entries_up_to_the_bound_keep_every_reported_number_finite(m_bar):
             result = realize(tensor, mode=mode)
             assert result.verified
             assert all(np.isfinite(value) for value in result.report.values())
-    with pytest.raises(DomainViolation, match=r"up to 2\^200"):
-        realize(tensor * np.nextafter(1.0, 2.0) * (MAX_REALIZE_ENTRY / np.abs(flat).max()))
+        split = w_project(tensor)
+        assert all(np.isfinite(value) for value in [split.residual, *split.norms.values()])
+    beyond = tensor * np.nextafter(1.0, 2.0) * (MAX_ENTRY / np.abs(flat).max())
+    for operation in (realize, w_project):
+        with pytest.raises(DomainViolation, match=r"up to 2\^200"):
+            operation(beyond)
 
 
 @pytest.mark.parametrize("mode", ["joint", "split"])

@@ -277,6 +277,27 @@ def test_cli_realize_at_the_entry_bound_reports_finite_numbers(tmp_path, capsys)
     assert all(np.isfinite(value) for value in [payload["residual"], *payload["report"].values()])
 
 
+def test_cli_decompose_rejects_huge_entries_up_front(tmp_path):
+    # this probe once printed infinite norms after an overflow warning
+    done = subprocess.run(
+        [sys.executable, "-m", "affine_kahler", "decompose", "--input", str(_scaled_w9_fixture(tmp_path, 1000))],
+        capture_output=True,
+        text=True,
+        cwd=str(FIXTURES.parent),
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "2^200" in lines[0]
+
+
+def test_cli_decompose_at_the_entry_bound_reports_finite_numbers(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run_cli("decompose", "--input", str(_scaled_w9_fixture(tmp_path, 200)), "--report", str(report)) == 0
+    printed = [float(line.split()[1]) for line in capsys.readouterr().out.splitlines()]
+    payload = json.loads(report.read_text())
+    assert all(np.isfinite(value) for value in [*printed, payload["residual"], *payload["norms"].values()])
+
+
 def test_cli_curvature_zero_theta(tmp_path, capsys):
     theta_path = tmp_path / "theta.json"
     theta_path.write_text(json.dumps({"m_bar": 2, "entries": []}), encoding="utf-8")
