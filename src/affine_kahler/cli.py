@@ -37,8 +37,8 @@ from .tensors import (
     DEFAULT_TOL,
     IDENTITY_NAMES,
     SpaceConfig,
+    _parity_parts,
     classify_symmetries,
-    j_parity_split,
 )
 from .witnesses import CASES, run_witness_case
 
@@ -110,8 +110,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_decompose(args) -> int:
     tensor = read_tensor_file(args.input)
-    decomp = w_project(tensor, tol=args.tol)
-    plus, minus = j_parity_split(tensor, tol=args.tol)
+    decomp = w_project(tensor, tol=args.tol)  # validates membership in K
+    plus, minus = _parity_parts(tensor)
     print(f"total_norm {tensor.norm():.12e}")
     for label, norm in decomp.norms.items():
         print(f"{label} {norm:.12e}")

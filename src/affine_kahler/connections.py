@@ -200,16 +200,15 @@ class ThetaField:
 
     def swap_complex_coordinates(self, a: int, b: int) -> "ThetaField":
         """Interchange the roles of complex coordinate lines a and b (1-based):
-        both the entry indices and the variables are relabeled."""
-        perm = {a: b, b: a}
-        swapped: dict[EntryKey, ComplexPoly] = {}
-        for (i, j, k), poly in self.entries.items():
-            new_key = (perm.get(i, i), perm.get(j, j), perm.get(k, k))
-            swapped[new_key] = ComplexPoly(
-                poly.u.permute_complex_coordinates(perm),
-                poly.v.permute_complex_coordinates(perm),
-            )
-        return ThetaField(self.m_bar, swapped)
+        both the entry axes of U and V and the x and y columns of E are permuted."""
+        m_bar = self.m_bar
+        if not (1 <= a <= m_bar and 1 <= b <= m_bar):
+            raise ValueError(f"complex coordinate lines must lie in 1..{m_bar}, got ({a}, {b})")
+        perm = np.arange(m_bar)
+        perm[[a - 1, b - 1]] = b - 1, a - 1
+        U, V, E = self.arrays
+        axes = np.ix_(perm, perm, perm)
+        return ThetaField.from_arrays(m_bar, U[axes], V[axes], E[:, np.concatenate([perm, perm + m_bar])])
 
 
 class HolomorphyKind(enum.Enum):

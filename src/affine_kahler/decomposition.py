@@ -35,7 +35,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from .connections import ThetaField, degree_one_gradients, linear_curvature_from_gradients
-from .errors import DomainViolation, InternalCheckFailure
+from .errors import DomainViolation, InternalCheckFailure, SchemaViolation
 from .linalg import Subspace, kernel_and_rest, orthonormalize
 from .tensors import (
     DEFAULT_TOL,
@@ -50,7 +50,6 @@ from .tensors import (
     rho13_of,
     rho14_of,
     scalar_traces,
-    standard_complex_structure,
 )
 
 W_LABELS = tuple(f"W{i}" for i in range(1, 13))
@@ -61,6 +60,12 @@ BILINEAR_LABELS = ("S2-", "S2_0+", "R<.,.>", "L2-", "L2_0+", "R.Omega")
 DIMENSION_LABELS = ("K", "K+", "K-") + W_LABELS + ("S2-", "S2_0+", "L2-", "L2_0+")
 
 _MIN_M_BAR = 2
+
+#: Largest m_bar any per-size structure is built for.  The dense coefficient
+#: map and its gradient stack grow like m_bar^7: a cold build peaks near
+#: 450-530 MiB at m_bar = 5, and at m_bar = 8 the map's curvature stack alone
+#: would take 4.8 GB.
+MAX_M_BAR = 5
 
 #: Absolute singular-value floor for rank decisions during module
 #: construction; the trace/symmetry maps have O(1) content on unit tensors.
@@ -342,9 +347,15 @@ def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
     J-even, the two kinds orthogonal, and each kind's diagonal pseudo-inverse
     of the closed-form rank: dim K+ for the antiholomorphic columns, dim K-
     for the holomorphic ones.  So the two kinds span the parity eigenspaces
-    K+ and K- of K.  A failure is an internal error.
+    K+ and K- of K.  A failure is an internal error.  Every per-size build
+    starts here, so an m_bar above MAX_M_BAR is refused (SchemaViolation)
+    before anything is allocated.
     """
     _require_decomposable(config.m_bar)
+    if config.m_bar > MAX_M_BAR:
+        raise SchemaViolation(
+            f"per-size structures are built for m_bar <= MAX_M_BAR = {MAX_M_BAR}, got {config.m_bar}"
+        )
     keys = _column_keys(config.m_bar)
     grads = _unit_gradient_stack(config.m_bar, keys)
     stack = linear_curvature_from_gradients(grads[:, 0], grads[:, 1])
@@ -667,19 +678,16 @@ def bilinear_decompose(theta: Bilinear2) -> BilinearDecomposition:
     """Split into symmetric/antisymmetric crossed with J-parity, minus scalars."""
     cfg = theta.config
     m = cfg.m
-    jmat = standard_complex_structure(cfg).entries
     arr = theta.entries
 
     sym = (arr + arr.T) / 2.0
     alt = (arr - arr.T) / 2.0
 
-    def j_pull(mat: np.ndarray) -> np.ndarray:
-        return jmat.T @ mat @ jmat
-
-    sym_plus = (sym + j_pull(sym)) / 2.0
-    sym_minus = (sym - j_pull(sym)) / 2.0
-    alt_plus = (alt + j_pull(alt)) / 2.0
-    alt_minus = (alt - j_pull(alt)) / 2.0
+    sym_j, alt_j = apply_j_slots(np.stack([sym, alt]), cfg, (1, 2))
+    sym_plus = (sym + sym_j) / 2.0
+    sym_minus = (sym - sym_j) / 2.0
+    alt_plus = (alt + alt_j) / 2.0
+    alt_minus = (alt - alt_j) / 2.0
 
     metric_coeff = np.trace(sym_plus) / m
     omega = kahler_form(cfg).entries

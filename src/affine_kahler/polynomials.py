@@ -117,23 +117,6 @@ class PolyScalar:
             return 0.0
         return max(abs(v) for v in self.coeffs.values())
 
-    def permute_complex_coordinates(self, perm: dict[int, int]) -> "PolyScalar":
-        """Relabel complex coordinate lines: z_i -> z_perm[i] (1-based keys).
-
-        Swaps both the x and the y exponent of each affected line.
-        """
-        m_bar = self.m_bar
-        full = {i: perm.get(i, i) for i in range(1, m_bar + 1)}
-        out: dict[Monomial, float] = {}
-        for powers, coeff in self.coeffs.items():
-            moved = [0] * (2 * m_bar)
-            for i in range(1, m_bar + 1):
-                j = full[i]
-                moved[j - 1] = powers[i - 1]
-                moved[m_bar + j - 1] = powers[m_bar + i - 1]
-            out[tuple(moved)] = coeff
-        return PolyScalar(m_bar, out)
-
 
 @dataclass(frozen=True)
 class ComplexPoly:

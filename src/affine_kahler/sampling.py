@@ -2,17 +2,20 @@
 
 All randomness flows through an explicit numpy Generator so that every
 consumer (tests, the self-test harness, demos) is reproducible from a seed.
+Coefficient fields are built directly as (U, V, E) arrays: each product of
+z (or conj z) lines is expanded by exponent arithmetic into small integer
+unit coefficients, which the draws scale and sum.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .connections import ThetaField
 from .decomposition import _column_keys, kahler_parity_subspaces, theta_from_coefficients
-from .polynomials import ComplexPoly
 from .tensors import SpaceConfig, Tensor4
 
 
@@ -43,6 +46,18 @@ def _z_monomials(m_bar: int, max_degree: int, include_constant: bool):
         yield from combinations_with_replacement(range(1, m_bar + 1), degree)
 
 
+def _expand(m_bar: int, lines: tuple[int, ...], sign: int):
+    """The terms (uv, powers, value) of the product of x_a + sign * i * y_a over
+    the given lines: picking y from b of the n_a factors of line a gives the
+    monomial x_a^(n_a - b) y_a^b with multiplicity C(n_a, b), and the picked
+    factors multiply to (sign * i)^(sum of b), real (uv 0) or imaginary (uv 1)."""
+    counts = [lines.count(line) for line in range(1, m_bar + 1)]
+    for picks in product(*(range(n + 1) for n in counts)):
+        k = sum(picks)
+        value = math.prod(map(math.comb, counts, picks)) * (-1) ** (k // 2) * sign ** (k % 2)
+        yield k % 2, tuple(n - b for n, b in zip(counts, picks)) + picks, float(value)
+
+
 @lru_cache(maxsize=None)
 def _unit_terms(m_bar: int, max_degree: int, conjugate: bool, include_constant: bool):
     """The unit monomials of a random power series, in draw order.
@@ -51,20 +66,14 @@ def _unit_terms(m_bar: int, max_degree: int, conjugate: bool, include_constant: 
     coefficients of the real monomial support[n] in the real and imaginary
     parts of the t-th product of z (or conj z) lines, all small integers.
     """
-    factor = ComplexPoly.z_bar if conjugate else ComplexPoly.z
-    terms = []
-    for lines in _z_monomials(m_bar, max_degree, include_constant):
-        term = ComplexPoly.constant(m_bar, 1.0)
-        for line in lines:
-            term = term * factor(m_bar, line)
-        terms.append((term.u.coeffs, term.v.coeffs))
-    support = tuple(sorted({powers for parts in terms for coeffs in parts for powers in coeffs}))
+    sign = -1 if conjugate else 1
+    terms = [list(_expand(m_bar, lines, sign)) for lines in _z_monomials(m_bar, max_degree, include_constant)]
+    support = tuple(sorted({powers for term in terms for _, powers, _ in term}))
     index = {powers: n for n, powers in enumerate(support)}
     units = np.zeros((2, len(terms), len(support)))
-    for t, parts in enumerate(terms):
-        for uv, coeffs in enumerate(parts):
-            for powers, value in coeffs.items():
-                units[uv, t, index[powers]] = value
+    for t, term in enumerate(terms):
+        for uv, powers, value in term:
+            units[uv, t, index[powers]] = value
     units.setflags(write=False)
     return support, units
 
@@ -80,8 +89,8 @@ def _random_power_series_field(
     independent complex standard normal per unit monomial, drawn in entry
     order, then monomial order, real part first.
 
-    Each scaled term is added in monomial order, so every coefficient is the
-    same float expression as a sum of scaled ``ComplexPoly`` terms.
+    Each scaled unit term is added in monomial order; that order fixes the
+    rounding of every coefficient, so a seed always gives the same arrays.
     """
     m_bar = config.m_bar
     support, units = _unit_terms(m_bar, max_degree, conjugate, include_constant)

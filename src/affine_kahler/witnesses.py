@@ -7,7 +7,9 @@ then checks every row against the closed forms: connection coefficients,
 curvature entries, trace tables and module placements.  Value checks are
 exact: every expected number is a small dyadic rational, so double arithmetic
 reproduces it with error exactly zero.  Membership checks (projection norms)
-carry tiny tolerances instead.
+carry tiny tolerances instead.  Everything runs on coefficient arrays: the
+displayed Christoffel data is a dense array compared with the connection's
+coefficients over its exponent rows, and fields come from parameter vectors.
 
 Case identifiers are stable strings used by the command line:
 4.1.1, 4.1.2, 4.1.3a, 4.1.3b, 4.2.w9w10, 4.2.w12, 4.2.w11.
@@ -36,7 +38,6 @@ from .decomposition import (
     w_project,
 )
 from .errors import DomainViolation
-from .polynomials import PolyScalar
 from .tensors import Bilinear2, SpaceConfig, Tensor4, TraceSet, j_parity_residuals, ricci_traces
 
 #: Tolerance for projection-norm (membership) checks; value checks are exact.
@@ -142,25 +143,23 @@ def _gamma_display_check(
 ) -> WitnessCheck:
     """Max coefficient misfit of the full Christoffel data against a display.
 
-    Triples absent from the display are expected to vanish, so the check also
-    catches spurious extra terms.
+    The display is a dense (a, b, c, coordinate) array of coefficients of
+    single coordinates, compared with the connection's coefficients on its
+    single-coordinate monomials.  Triples absent from the display are
+    expected to vanish, and a coefficient on any other monomial counts in
+    full, so the check also catches spurious extra terms.
     """
     m = 2 * m_bar
-    expected: dict[tuple[int, int, int], PolyScalar] = {}
+    want = np.zeros((m, m, m, m))
     for (la, lb), column in display.items():
         a, b = _idx(la, m_bar), _idx(lb, m_bar)
         for lc, coeff, var in column:
-            c = _idx(lc, m_bar)
-            term = PolyScalar.variable(m_bar, _idx(var, m_bar), coeff)
-            key = (a, b, c)
-            expected[key] = expected[key] + term if key in expected else term
-    worst = 0.0
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                want = expected.get((a, b, c), PolyScalar.zero(m_bar))
-                worst = max(worst, (conn.christoffel(a, b, c) - want).max_abs_coeff())
-    return WitnessCheck("nabla_display", 0.0, worst)
+            want[a, b, _idx(lc, m_bar), _idx(var, m_bar)] += coeff
+    linear = conn.exponents.sum(axis=1) == 1
+    got = np.zeros_like(want)
+    got[..., conn.exponents[linear].argmax(axis=1)] = conn.coeffs[..., linear]
+    worst = max(np.max(np.abs(got - want)), np.max(np.abs(conn.coeffs[..., ~linear]), initial=0.0))
+    return WitnessCheck("nabla_display", 0.0, float(worst))
 
 
 def _bilinear_membership_checks(

@@ -427,3 +427,42 @@ def test_swap_complex_coordinates_relabels_both_indices_and_variables():
     poly = swapped.entries[(2, 2, 1)]
     assert poly.u.coeffs == PolyScalar.variable(3, 1).coeffs          # x2
     assert poly.v.coeffs == PolyScalar.variable(3, 4, -1.0).coeffs    # -y2
+
+
+def swap_by_entries(theta: ThetaField, a: int, b: int) -> ThetaField:
+    """The dict route to swap_complex_coordinates: relabel every entry key and
+    move the x and y exponents of lines a and b in every monomial."""
+    m_bar = theta.m_bar
+    line = {n: n for n in range(1, m_bar + 1)} | {a: b, b: a}
+
+    def moved(poly: PolyScalar) -> PolyScalar:
+        out = {}
+        for powers, coeff in poly.coeffs.items():
+            new = [0] * (2 * m_bar)
+            for n in range(1, m_bar + 1):
+                new[line[n] - 1], new[m_bar + line[n] - 1] = powers[n - 1], powers[m_bar + n - 1]
+            out[tuple(new)] = coeff
+        return PolyScalar(m_bar, out)
+
+    return ThetaField(
+        m_bar,
+        {(line[i], line[j], line[k]): ComplexPoly(moved(p.u), moved(p.v)) for (i, j, k), p in theta.entries.items()},
+    )
+
+
+@pytest.mark.parametrize("m_bar", [2, 3, 4])
+def test_swap_complex_coordinates_matches_the_entry_oracle(m_bar, rng):
+    cfg = SpaceConfig(m_bar)
+    theta = random_holomorphic_theta(cfg, rng, 3) + random_antiholomorphic_theta(cfg, rng, 2, True)
+    for a in range(1, m_bar + 1):
+        for b in range(a, m_bar + 1):
+            swapped = theta.swap_complex_coordinates(a, b)
+            assert swapped == swap_by_entries(theta, a, b) == theta.swap_complex_coordinates(b, a), (a, b)
+            assert swapped.swap_complex_coordinates(a, b) == theta
+
+
+@pytest.mark.parametrize("lines", [(1, 3), (0, 1), (3, 3), (2, -1)])
+def test_swap_complex_coordinates_rejects_lines_out_of_range(lines):
+    theta = ThetaField(2, {(1, 1, 2): ComplexPoly.z_bar(2, 1)})
+    with pytest.raises(ValueError, match=r"lines must lie in 1\.\.2"):
+        theta.swap_complex_coordinates(*lines)

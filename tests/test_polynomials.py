@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,12 +57,6 @@ def test_diff_lowers_degree():
     assert poly.diff(3).is_zero()
 
 
-def test_permute_complex_coordinates_swaps_lines():
-    poly = PolyScalar(M_BAR, {(1, 0, 0, 0): 1.0, (0, 0, 2, 0): 5.0})  # x1 + 5 y1^2
-    swapped = poly.permute_complex_coordinates({1: 2, 2: 1})
-    assert swapped.coeffs == {(0, 1, 0, 0): 1.0, (0, 0, 0, 2): 5.0}
-
-
 def test_complex_poly_z_and_conjugate():
     z1 = ComplexPoly.z(M_BAR, 1)
     zb1 = ComplexPoly.z_bar(M_BAR, 1)
@@ -85,3 +82,21 @@ def test_complex_scale_matches_complex_arithmetic(re, im, line, x):
     expect = complex(re, im) * complex(z.u.eval(x), z.v.eval(x))
     assert scaled.u.eval(x) == pytest.approx(expect.real, rel=1e-12, abs=1e-9)
     assert scaled.v.eval(x) == pytest.approx(expect.imag, rel=1e-12, abs=1e-9)
+
+
+def test_only_the_connection_layer_and_the_exports_import_polynomials():
+    # every command runs on coefficient arrays; the dict classes stay a view
+    # for API callers (ThetaField.entries, AffineConnection.christoffel)
+    package = Path(__file__).resolve().parents[1] / "src" / "affine_kahler"
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "polynomials" for name in names):
+                importers.add(path.stem)
+    assert importers == {"connections", "__init__"}

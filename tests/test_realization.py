@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from affine_kahler.cli import main
 from affine_kahler.connections import (
     HolomorphyKind,
     connection_from_theta,
@@ -35,7 +36,7 @@ from affine_kahler.tensors import (
     j_parity_residuals,
     j_parity_split,
 )
-from affine_kahler.witnesses import witness_theta
+from affine_kahler.witnesses import CASES, witness_theta
 
 EXPECTED_RANKS = {2: (32, 8, 24), 3: (156, 48, 108)}
 
@@ -233,28 +234,40 @@ def test_realized_fixture_fields_carry_no_rounding_noise(path, mode):
     assert not np.any((coeffs > 0) & (coeffs < 1e-12))
 
 
-def test_warm_realize_runs_no_lstsq_and_builds_no_polynomials(cfg3, rng, monkeypatch):
+def test_warm_realize_runs_no_lstsq_and_builds_no_polynomials(cfg3, rng, count_calls):
     from affine_kahler.polynomials import PolyScalar
 
     tensor = random_kahler_tensor(cfg3, rng)
     for mode in ("joint", "split"):
         realize(tensor, mode=mode)  # warm: every per-size build is cached
-    counts = {"lstsq": 0, "PolyScalar": 0}
-    lstsq, post_init = np.linalg.lstsq, PolyScalar.__post_init__
-
-    def counted_lstsq(*args, **kwargs):
-        counts["lstsq"] += 1
-        return lstsq(*args, **kwargs)
-
-    def counted_post_init(self):
-        counts["PolyScalar"] += 1
-        post_init(self)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
-    monkeypatch.setattr(PolyScalar, "__post_init__", counted_post_init)
+    count_calls(np.linalg, "lstsq")
+    counts = count_calls(PolyScalar, "__post_init__")
     for mode in ("joint", "split"):
         assert realize(tensor, mode=mode).verified
-    assert counts == {"lstsq": 0, "PolyScalar": 0}
+    assert counts == {"lstsq": 0, "__post_init__": 0}
+
+
+CLI_RUNS = {
+    "dims": ["dims", "--mbar", "3"],
+    "check": ["check", "--input", str(FIXTURES / "tensor_w9.json")],
+    "decompose": ["decompose", "--input", str(FIXTURES / "tensor_w11.json")],
+    "realize_joint": ["realize", "--input", str(FIXTURES / "tensor_w12.json"), "--mode", "joint"],
+    "realize_split": ["realize", "--input", str(FIXTURES / "tensor_w10.json"), "--mode", "split"],
+    "curvature": ["curvature", "--theta", str(FIXTURES / "theta_4_2_w11.json"), "--point", "0.5,-1,0,2,0.25,1"],
+    **{f"paper-examples_{case_id}": ["paper-examples", "--case", case_id] for case_id in sorted(CASES)},
+    "selftest": ["selftest", "--mbar", "2", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
+def test_no_cli_subcommand_builds_polynomials(name, tmp_path, count_calls, capsys):
+    # the dict classes stay a view for API callers and the test oracle
+    from affine_kahler.polynomials import PolyScalar
+
+    argv = CLI_RUNS[name] + (["--out", str(tmp_path / "theta.json")] if name.startswith("realize") else [])
+    counts = count_calls(PolyScalar, "__post_init__")
+    assert main(argv) == 0, capsys.readouterr().err
+    assert counts == {"__post_init__": 0}
 
 
 def test_realize_rejects_non_admissible(cfg2):

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from affine_kahler.cli import main
 from affine_kahler.connections import ThetaField
+from affine_kahler.decomposition import MAX_M_BAR, module_dimension_table
 from affine_kahler.errors import SchemaViolation
 from affine_kahler.polynomials import ComplexPoly, PolyScalar
 from affine_kahler.realization import VERIFICATION_KEYS, realize
@@ -25,7 +27,7 @@ from affine_kahler.serialization import (
     write_tensor_file,
     write_theta_file,
 )
-from affine_kahler.tensors import Tensor4
+from affine_kahler.tensors import SpaceConfig, Tensor4
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -195,6 +197,22 @@ def test_cli_decompose_zero_tensor(tmp_path, cfg2, capsys):
     assert run_cli("decompose", "--input", str(path), "--report", str(report)) == 0
     payload = json.loads(report.read_text())
     assert all(norm == 0.0 for norm in payload["norms"].values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["decompose"], ["realize", "--mode", "joint"], ["realize", "--mode", "split"]],
+    ids=["decompose", "realize_joint", "realize_split"],
+)
+def test_cli_classifies_its_input_once(argv, tmp_path, count_calls, capsys):
+    import affine_kahler.tensors as tensors
+
+    argv = argv + ["--input", str(FIXTURES / "tensor_w9.json")]
+    if argv[0] == "realize":
+        argv += ["--out", str(tmp_path / "theta.json")]
+    counts = count_calls(tensors, "classify_symmetries")
+    assert run_cli(*argv) == 0
+    assert counts == {"classify_symmetries": 1}
 
 
 def test_cli_decompose_rejects_non_admissible(tmp_path, cfg2):
@@ -382,6 +400,41 @@ def test_cli_selftest_deterministic(tmp_path):
     payload = json.loads((tmp_path / "r1.json").read_text())
     assert payload["ok"] is True
     assert (tmp_path / "r1.json").read_text() == (tmp_path / "r2.json").read_text()
+
+
+@pytest.mark.parametrize("command", ["dims", "selftest", "decompose", "realize", "paper-examples"])
+def test_cli_refuses_m_bar_beyond_the_limit_before_building(command, tmp_path, capsys):
+    oversize = MAX_M_BAR + 1
+    zeros = tmp_path / "zeros.json"
+    write_tensor_file(zeros, Tensor4.zero(SpaceConfig(oversize)))
+    argv = {
+        "dims": ["dims", "--mbar", str(oversize)],
+        "selftest": ["selftest", "--mbar", str(oversize)],
+        "decompose": ["decompose", "--input", str(zeros)],
+        "realize": ["realize", "--input", str(zeros), "--out", str(tmp_path / "theta.json")],
+        "paper-examples": ["paper-examples", "--case", "4.2.w12", "--mbar", str(oversize)],
+    }[command]
+    tracemalloc.start()
+    try:
+        code = run_cli(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and f"MAX_M_BAR = {MAX_M_BAR}" in err
+    assert peak < 32 * 2**20
+
+
+def test_commands_that_build_nothing_per_size_stay_unbounded(tmp_path, capsys):
+    oversize = MAX_M_BAR + 1
+    zeros = tmp_path / "zeros.json"
+    write_tensor_file(zeros, Tensor4.zero(SpaceConfig(oversize)))
+    assert run_cli("check", "--input", str(zeros)) == 0
+    write_theta_file(tmp_path / "theta.json", ThetaField.zero(oversize))
+    point = ",".join(["0.5"] * 2 * oversize)
+    assert run_cli("curvature", "--theta", str(tmp_path / "theta.json"), "--point", point) == 0
+    assert module_dimension_table(oversize).dims["K"] == 2352
 
 
 def test_fixture_files_pass_check():

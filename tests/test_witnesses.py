@@ -159,3 +159,27 @@ def test_witness_report_script_runs_clean():
     lines = result.stdout.splitlines()
     assert lines[-1] == "0 failures"
     assert sum(line.endswith(" OK") for line in lines) == 726
+
+
+def test_nabla_display_catches_a_wrong_or_spurious_christoffel_term():
+    from affine_kahler.connections import AffineConnection
+    from affine_kahler.witnesses import _gamma_display_check, _table_4_1_1
+
+    _terms, rows = _table_4_1_1(1.0, 1.0)
+    display = next(fields[0] for kind, *fields in rows if kind == "gamma")
+    conn = connection_from_theta(witness_theta("4.1.1"))
+    assert _gamma_display_check(conn, 2, display).computed == 0.0
+
+    (la, lb), column = next(iter(display.items()))
+    lc, coeff, var = column[0]
+    wrong = dict(display) | {(la, lb): [(lc, coeff + 0.25, var)] + column[1:]}
+    assert _gamma_display_check(conn, 2, wrong).computed == 0.25
+    missing = {key: col for key, col in display.items() if key != (la, lb)}
+    assert _gamma_display_check(conn, 2, missing).computed == abs(coeff)
+
+    # the same connection plus 1e-3 x1^2 on one Christoffel symbol
+    exponents = np.vstack([conn.exponents, [2, 0, 0, 0]])
+    coeffs = np.concatenate([conn.coeffs, np.zeros(conn.coeffs.shape[:3] + (1,))], axis=-1)
+    coeffs[1, 2, 3, -1] = 1e-3
+    spurious = AffineConnection(conn.config, exponents, coeffs)
+    assert _gamma_display_check(spurious, 2, display).computed == 1e-3
