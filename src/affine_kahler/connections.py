@@ -184,12 +184,18 @@ class ThetaField:
         return self.entries.get(key, ComplexPoly.zero(self.m_bar))
 
     def __add__(self, other: "ThetaField") -> "ThetaField":
+        """The field whose coefficients are the sums of both fields' on the
+        union of their monomials; monomials that cancel everywhere drop out."""
         if other.m_bar != self.m_bar:
             raise ValueError("cannot add coefficient fields of different m_bar")
-        merged = dict(self.entries)
-        for key, poly in other.entries.items():
-            merged[key] = merged[key] + poly if key in merged else poly
-        return ThetaField(self.m_bar, merged)
+        (U1, V1, E1), (U2, V2, E2) = self.arrays, other.arrays
+        E, where = np.unique(np.concatenate([E1, E2]), axis=0, return_inverse=True)
+        where = where.reshape(-1)
+        U, V = (np.zeros(U1.shape[:-1] + (len(E),)) for _ in range(2))
+        for coeffs, mine, theirs in ((U, U1, U2), (V, V1, V2)):
+            coeffs[..., where[: len(E1)]] = mine
+            coeffs[..., where[len(E1):]] += theirs
+        return ThetaField.from_arrays(self.m_bar, U, V, E)
 
     def max_degree(self) -> int:
         return int(self.arrays[2].sum(axis=1).max(initial=0))

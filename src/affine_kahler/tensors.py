@@ -8,6 +8,7 @@ a >= m_bar maps to a - m_bar with sign -1.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -58,12 +59,20 @@ class SpaceConfig:
     def j_action(self) -> tuple[np.ndarray, np.ndarray]:
         """Index permutation and signs of J on the standard basis.
 
-        Returns (perm, signs) such that J v_a = signs[a] * v_perm[a].
+        Returns (perm, signs) such that J v_a = signs[a] * v_perm[a], both
+        read-only and built once per m_bar.
         """
-        idx = np.arange(self.m)
-        perm = np.where(idx < self.m_bar, idx + self.m_bar, idx - self.m_bar)
-        signs = np.where(idx < self.m_bar, 1.0, -1.0)
-        return perm, signs
+        return _j_action(self.m_bar)
+
+
+@functools.lru_cache(maxsize=8)
+def _j_action(m_bar: int) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.arange(2 * m_bar)
+    perm = np.where(idx < m_bar, idx + m_bar, idx - m_bar)
+    signs = np.where(idx < m_bar, 1.0, -1.0)
+    for arr in (perm, signs):
+        arr.setflags(write=False)
+    return perm, signs
 
 
 def _frozen_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -145,8 +154,12 @@ class Bilinear2:
         return Bilinear2(self.config, self.entries - other.entries)
 
 
+@functools.lru_cache(maxsize=8)
 def standard_complex_structure(config: SpaceConfig) -> Bilinear2:
-    """Matrix of J in the standard basis: column a holds the components of J v_a."""
+    """Matrix of J in the standard basis: column a holds the components of J v_a.
+
+    Built once per m_bar; the entries are read-only like every Bilinear2's.
+    """
     m = config.m
     perm, signs = config.j_action()
     mat = np.zeros((m, m))
@@ -180,6 +193,60 @@ def apply_j_slots(entries: np.ndarray, config: SpaceConfig, slots: tuple[int, ..
         shape[ax] = len(signs)
         out = out * signs.reshape(shape)
     return out
+
+
+#: Rows of gather_table.  A slot order names, as an einsum input, where each
+#: slot of A is read: row "bacd" holds A(y, x, z, w).  Row "j" + digits holds
+#: A with J substituted into those slots (apply_j_slots).  Rows "rj" and "jr"
+#: hold the w-components of R(x, y) J z and J R(x, y) z.
+GATHER_ROWS = (
+    "abcd", "bacd", "bcad", "cabd", "abdc", "cdab",
+    "j0123", "j01", "j23", "j02", "j13", "j03", "j12",
+    "rj", "jr",
+)
+
+_J0123 = GATHER_ROWS.index("j0123")
+
+
+@functools.lru_cache(maxsize=8)
+def gather_table(m_bar: int) -> np.ndarray:
+    """Every row of GATHER_ROWS as a signed permutation of flat indices.
+
+    Read-only, of shape (len(GATHER_ROWS), m^4), built once per m_bar.  The
+    entries index the concatenation (flat, -flat) of a flattened tensor, so
+    f < m^4 reads +flat[f] and m^4 + f reads -flat[f] (see signed_gather).
+    Read off the rows applied to the flat indices counted from 1.
+    """
+    config = SpaceConfig(m_bar)
+    m = config.m
+    ids = np.arange(1, m**4 + 1).reshape(m, m, m, m)
+
+    def row(name: str) -> np.ndarray:
+        if name == "rj":  # sum_s A(x, y, v_s, w) J[s, z]
+            return apply_j_slots(ids, config, (2,))
+        if name == "jr":  # sum_s J[w, s] A(x, y, z, v_s), and J[w, Jw] = -signs[w]
+            return -apply_j_slots(ids, config, (3,))
+        if name.startswith("j"):
+            return apply_j_slots(ids, config, tuple(map(int, name[1:])))
+        return np.einsum(f"{name}->abcd", ids)
+
+    signed = np.stack([row(name).reshape(-1) for name in GATHER_ROWS])
+    table = (np.abs(signed) - 1 + np.where(signed < 0, m**4, 0)).astype(np.intp)
+    table.setflags(write=False)
+    return table
+
+
+def signed_gather(flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows of gather_table applied to a flattened tensor, exactly: negation
+    is exact, so each entry is +-flat[f] as J's signs dictate."""
+    # Indexing, not np.take: np.take copies a read-only index array every call.
+    return np.concatenate((flat, -flat))[rows]
+
+
+def _j_conjugate(tensor: Tensor4) -> np.ndarray:
+    """apply_j_slots(A, (0, 1, 2, 3)) as the table's one signed gather."""
+    conj = signed_gather(tensor.flatten(), gather_table(tensor.config.m_bar)[_J0123])
+    return conj.reshape(tensor.entries.shape)
 
 
 @dataclass(frozen=True)
@@ -274,49 +341,35 @@ def k_identity_violations(entries: np.ndarray, config: SpaceConfig) -> dict[str,
 def classify_symmetries(tensor: Tensor4, tol: float = DEFAULT_TOL) -> SymmetryReport:
     """Evaluate every supported curvature identity and report max residuals.
 
-    The lowered two-slot identity (kahler_last2_1h) and the operator
-    commutation identity (kahler_operator_1i) are computed independently even
-    though they coincide in an orthonormal basis; agreement of the two is a
-    self-consistency guard.
+    Every identity is a signed sum of slot permutations and J-substitutions
+    of A, so one gather through gather_table yields all of them; weyl_1d adds
+    its rho14 trace term.  The lowered two-slot identity (kahler_last2_1h)
+    and the operator commutation identity (kahler_operator_1i) are computed
+    independently, from different rows, even though they coincide in an
+    orthonormal basis; agreement of the two is a self-consistency guard.
     """
-    cfg = tensor.config
-    a = tensor.entries
-    m = cfg.m
-    jmat = standard_complex_structure(cfg).entries
-
-    violations = k_identity_violations(a, cfg)
-
-    swap34 = np.einsum("abdc->abcd", a)
-    rho14 = rho14_of(a)
+    m = tensor.config.m
+    table = gather_table(tensor.config.m_bar)
+    a, bacd, bcad, cabd, abdc, cdab, j0123, j01, j23, j02, j13, j03, j12, rj, jr = (
+        signed_gather(tensor.flatten(), table)
+    )
+    rho14 = rho14_of(tensor.entries)
     skew = rho14.T - rho14
-    weyl = a + swap34 - (2.0 / m) * np.einsum("ab,cd->abcd", skew, np.eye(m))
-    violations["weyl_1d"] = _max_abs(weyl)
-
-    violations["riemann_pair_1e"] = _max_abs(a - np.einsum("cdab->abcd", a))
-    violations["antisym34"] = _max_abs(a + swap34)
-
-    def jj(slots: tuple[int, ...]) -> np.ndarray:
-        return apply_j_slots(a, cfg, slots)
-
-    gray = (
-        a
-        + jj((0, 1, 2, 3))
-        - jj((0, 1))
-        - jj((2, 3))
-        - jj((0, 2))
-        - jj((1, 3))
-        - jj((0, 3))
-        - jj((1, 2))
-    )
-    violations["gray_1g"] = _max_abs(gray)
-
-    # Operator form: R(x, y) J - J R(x, y) applied to basis vectors.
-    comm = np.einsum("absd,sc->abcd", a, jmat) - np.einsum(
-        "ds,abcs->abcd", jmat, a
-    )
-    violations["kahler_operator_1i"] = _max_abs(comm)
-
-    return SymmetryReport(tol=tol, violations={name: violations[name] for name in IDENTITY_NAMES})
+    antisym34 = a + abdc
+    residuals = np.stack([
+        a + bacd,
+        a + bcad + cabd,
+        antisym34 - ((2.0 / m) * np.einsum("ab,cd->abcd", skew, np.eye(m))).reshape(-1),
+        a - cdab,
+        antisym34,
+        a + j0123 - j01 - j23 - j02 - j13 - j03 - j12,
+        a - j23,
+        rj - jr,
+    ])
+    # In place: with a third m^4-row temporary, glibc's malloc returned the
+    # heap to the system on every call at m_bar >= 4 (hundreds of page faults).
+    worst = np.abs(residuals, out=residuals).max(axis=1).tolist()
+    return SymmetryReport(tol=tol, violations=dict(zip(IDENTITY_NAMES, worst)))
 
 
 def require_bounded_entries(tensor: Tensor4, operation: str) -> None:
@@ -356,7 +409,7 @@ def j_parity_split(tensor: Tensor4, tol: float = DEFAULT_TOL) -> tuple[Tensor4, 
 
 def _parity_parts(tensor: Tensor4) -> tuple[Tensor4, Tensor4]:
     """(A_plus, A_minus) by full J conjugation, for a tensor already known to be in K."""
-    conj = apply_j_slots(tensor.entries, tensor.config, (0, 1, 2, 3))
+    conj = _j_conjugate(tensor)
     plus = Tensor4(tensor.config, (tensor.entries + conj) / 2.0)
     minus = Tensor4(tensor.config, (tensor.entries - conj) / 2.0)
     return plus, minus
@@ -368,7 +421,7 @@ def j_parity_residuals(tensor: Tensor4) -> tuple[float, float]:
     The first number vanishes iff A is parity-even (in K+ when A is in K),
     the second iff A is parity-odd.
     """
-    conj = apply_j_slots(tensor.entries, tensor.config, (0, 1, 2, 3))
+    conj = _j_conjugate(tensor)
     odd = float(np.linalg.norm((tensor.entries - conj) / 2.0))
     even = float(np.linalg.norm((tensor.entries + conj) / 2.0))
     return odd, even

@@ -466,3 +466,40 @@ def test_swap_complex_coordinates_rejects_lines_out_of_range(lines):
     theta = ThetaField(2, {(1, 1, 2): ComplexPoly.z_bar(2, 1)})
     with pytest.raises(ValueError, match=r"lines must lie in 1\.\.2"):
         theta.swap_complex_coordinates(*lines)
+
+
+# -- field sums ------------------------------------------------------------------------
+
+def entry_merge(first: ThetaField, second: ThetaField) -> ThetaField:
+    """The dict route to ThetaField.__add__: the ComplexPoly entries added key by key."""
+    merged = dict(first.entries)
+    for key, poly in second.entries.items():
+        merged[key] = merged[key] + poly if key in merged else poly
+    return ThetaField(first.m_bar, merged)
+
+
+def negated(theta: ThetaField) -> ThetaField:
+    U, V, E = theta.arrays
+    return ThetaField.from_arrays(theta.m_bar, -U, -V, E)
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_field_sum_merges_arrays_like_the_entry_dicts(m_bar, rng, count_calls):
+    cfg = SpaceConfig(m_bar)
+    hol = random_holomorphic_theta(cfg, rng, 2)
+    anti = random_antiholomorphic_theta(cfg, rng, 2, True)
+    pairs = [
+        (hol, anti),  # both carry constants
+        (hol, random_holomorphic_theta(cfg, rng, 2)),  # the same monomials
+        (hol, negated(hol)),  # everything cancels
+        (hol + anti, negated(hol)),  # the holomorphic monomials drop out
+        (ThetaField.zero(m_bar), anti),
+    ]
+    counts = count_calls(PolyScalar, "__post_init__")
+    sums = [first + second for first, second in pairs]
+    assert counts == {"__post_init__": 0}
+    assert len(sums[2].arrays[2]) == 0
+    for (first, second), total in zip(pairs, sums):
+        want = entry_merge(first, second)
+        assert total == want
+        assert total.entries == want.entries

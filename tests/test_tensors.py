@@ -1,25 +1,41 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_kahler.errors import DomainViolation
-from affine_kahler.sampling import random_kahler_tensor
+from affine_kahler.sampling import random_kahler_tensor, random_parity_tensor
+from affine_kahler.serialization import read_tensor_file
 from affine_kahler.tensors import (
+    GATHER_ROWS,
+    K_IDENTITIES,
     SpaceConfig,
     Tensor4,
+    _parity_parts,
     apply_as_operator,
     apply_j_slots,
     classify_symmetries,
+    gather_table,
+    j_parity_residuals,
     j_parity_split,
+    k_identity_violations,
     kahler_form,
     metric,
     rho13_of,
     rho14_of,
     ricci_traces,
     scalar_traces,
+    signed_gather,
     standard_complex_structure,
 )
+from constraint_oracle import nullspace_route_spaces
+from symmetry_oracle import symmetry_violations
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 # -- independent summation oracles (loops over the definitions) --------------
@@ -257,3 +273,118 @@ def test_apply_as_operator_zero_tensor(cfg2):
 def test_apply_as_operator_rejects_bad_index(cfg2):
     with pytest.raises(ValueError, match="out of range"):
         apply_as_operator(Tensor4.zero(cfg2), 0, 4, 0)
+
+
+# -- the signed gather table against the einsum oracle ----------------------------
+
+def k_samples(config: SpaceConfig, rng: np.random.Generator) -> list[Tensor4]:
+    """Random elements of K, K+ and K-; below the decomposition's smallest size
+    (m_bar = 1) they come from the nullspace route."""
+    if config.m_bar == 1:
+        return [
+            Tensor4.from_flat(config, rng.standard_normal(space.dim) @ space.basis)
+            for space in nullspace_route_spaces(1)
+        ]
+    return [
+        random_kahler_tensor(config, rng),
+        random_parity_tensor(config, rng, "plus"),
+        random_parity_tensor(config, rng, "minus"),
+    ]
+
+
+def assert_matches_oracle(tensor: Tensor4) -> None:
+    violations = classify_symmetries(tensor).violations
+    assert violations == symmetry_violations(tensor.entries, tensor.config)
+    k_violations = k_identity_violations(tensor.entries, tensor.config)
+    assert {name: violations[name] for name in K_IDENTITIES} == k_violations
+
+
+@pytest.mark.parametrize("m_bar", [1, 2, 3, 4])
+def test_gather_table_rows_are_signed_permutations(m_bar):
+    table = gather_table(m_bar)
+    n = (2 * m_bar) ** 4
+    assert table.shape == (len(GATHER_ROWS), n)
+    assert table.min() >= 0 and table.max() < 2 * n  # the sign is which half is read
+    for row in table:
+        assert np.array_equal(np.sort(row % n), np.arange(n))
+
+
+@pytest.mark.parametrize("m_bar", [1, 2, 3])
+def test_each_gather_row_is_its_definition(m_bar, rng):
+    config = SpaceConfig(m_bar)
+    m = config.m
+    entries = rng.standard_normal((m, m, m, m))
+    jmat = standard_complex_structure(config).entries
+    rows = dict(zip(GATHER_ROWS, signed_gather(entries.reshape(-1), gather_table(m_bar))))
+    for name, row in rows.items():
+        if name == "rj":
+            want = np.einsum("absd,sc->abcd", entries, jmat)
+        elif name == "jr":
+            want = np.einsum("ds,abcs->abcd", jmat, entries)
+        elif name.startswith("j"):
+            want = apply_j_slots(entries, config, tuple(map(int, name[1:])))
+        else:
+            want = np.einsum(f"{name}->abcd", entries)
+        assert np.array_equal(row, want.reshape(-1)), name
+
+
+@pytest.mark.parametrize("m_bar", [1, 2, 3, 4])
+def test_classify_symmetries_equals_the_einsum_oracle(m_bar, rng):
+    config = SpaceConfig(m_bar)
+    m = config.m
+    tensors = [Tensor4.zero(config), Tensor4(config, rng.standard_normal((m, m, m, m)))]
+    for position in ((0, 0, 0, 0), (0, m - 1, 1, m // 2), tuple(rng.integers(0, m, size=4))):
+        single = np.zeros((m, m, m, m))
+        single[position] = 1.0
+        tensors.append(Tensor4(config, single))
+    tensors += k_samples(config, rng)
+    for tensor in tensors:
+        assert_matches_oracle(tensor)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("tensor_*.json")), ids=lambda path: path.name)
+def test_classify_symmetries_equals_the_einsum_oracle_on_fixtures(path):
+    assert_matches_oracle(read_tensor_file(path))
+
+
+@given(
+    m_bar=st.integers(min_value=1, max_value=4),
+    exponent=st.floats(min_value=-12.0, max_value=12.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_classify_symmetries_equals_the_einsum_oracle_at_every_scale(m_bar, exponent, seed):
+    config = SpaceConfig(m_bar)
+    m = config.m
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    for tensor in [Tensor4(config, rng.standard_normal((m, m, m, m)))] + k_samples(config, rng):
+        assert_matches_oracle(tensor * scale)
+
+
+@pytest.mark.parametrize("m_bar", [1, 2, 3])
+def test_per_size_j_data_is_built_once_and_read_only(m_bar):
+    config = SpaceConfig(m_bar)
+    perm, signs = config.j_action()
+    assert SpaceConfig(m_bar).j_action()[0] is perm
+    jmat = standard_complex_structure(config)
+    assert standard_complex_structure(SpaceConfig(m_bar)) is jmat
+    assert kahler_form(SpaceConfig(m_bar)) is jmat
+    for arr in (perm, signs, jmat.entries, gather_table(m_bar)):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0
+
+
+@pytest.mark.parametrize("m_bar", [2, 3, 4])
+def test_parity_parts_equal_the_slot_by_slot_conjugation(m_bar, rng):
+    config = SpaceConfig(m_bar)
+    m = config.m
+    gaussian = Tensor4(config, rng.standard_normal((m, m, m, m)))
+    for tensor in k_samples(config, rng) + [gaussian * 1e-9, Tensor4.zero(config)]:
+        conj = apply_j_slots(tensor.entries, config, (0, 1, 2, 3))
+        plus, minus = _parity_parts(tensor)
+        assert plus.entries.tobytes() == ((tensor.entries + conj) / 2.0).tobytes()
+        assert minus.entries.tobytes() == ((tensor.entries - conj) / 2.0).tobytes()
+        odd = float(np.linalg.norm((tensor.entries - conj) / 2.0))
+        even = float(np.linalg.norm((tensor.entries + conj) / 2.0))
+        assert j_parity_residuals(tensor) == (odd, even)
