@@ -39,12 +39,10 @@ from .errors import DomainViolation, InternalCheckFailure, SchemaViolation
 from .linalg import Subspace, kernel_and_rest, orthonormalize
 from .tensors import (
     DEFAULT_TOL,
-    GATHER_ROWS,
     Bilinear2,
     SpaceConfig,
     Tensor4,
     apply_j_slots,
-    gather_table,
     k_identity_violations,
     kahler_form,
     require_bounded_entries,
@@ -269,6 +267,15 @@ class CurvatureCoefficientMap:
         return self.kinds == kind
 
 
+def _j_conjugation(config: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Full J-conjugation of flattened tensors as one signed gather:
+    conj[f] = sign[f] * flat[source[f]] (read off J applied to the flat
+    indices, counted from 1)."""
+    m = config.m
+    signed = apply_j_slots(np.arange(1, m**4 + 1).reshape(m, m, m, m), config, (0, 1, 2, 3)).reshape(-1)
+    return np.abs(signed).astype(np.intp) - 1, np.sign(signed).astype(np.int8)
+
+
 def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b of integer-valued float arrays, free of rounding in any summation
     order: every partial sum is an integer of at most inner * max|a| * max|b|,
@@ -361,9 +368,7 @@ def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
         raise InternalCheckFailure(f"a coefficient-map column violates the identities by {worst:.0f}")
     kinds = np.array([key.kind for key in keys])
     hol = kinds == HOLOMORPHIC
-    conj = gather_table(config.m_bar)[GATHER_ROWS.index("j0123")]  # full J-conjugation
-    n = config.m**4
-    source, sign = conj % n, np.where(conj < n, 1, -1).astype(np.int8)
+    source, sign = _j_conjugation(config)
     small = small.reshape(len(keys), -1)
     parity = np.where(hol, -1, 1).astype(np.int16)
     if not np.array_equal(np.take(small, source, axis=1) * sign, parity[:, None] * small):
