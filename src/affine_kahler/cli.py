@@ -181,6 +181,9 @@ def _cmd_paper_examples(args) -> int:
         except ValueError:
             print("rho values must be numbers", file=sys.stderr)
             return EXIT_USAGE
+        if not all(math.isfinite(r) for r in rho):
+            print(f"error: --rho {args.rho} has a non-finite value", file=sys.stderr)
+            return EXIT_USAGE
         n_rho = len(CASES[args.case].default_rho)
         if len(rho) != n_rho:
             print(f"--rho: case {args.case} takes {n_rho} parameter(s), got {len(rho)}", file=sys.stderr)

@@ -629,7 +629,7 @@ def w_project(tensor: Tensor4, tol: float = DEFAULT_TOL) -> WDecomposition:
     total = np.zeros_like(flat)
     for label, space in spaces.items():
         coords = space.coordinates(flat)
-        comp = coords @ space.basis if space.dim else np.zeros_like(flat)
+        comp = coords @ space.basis
         total += comp
         components[label] = Tensor4.from_flat(tensor.config, comp)
         norms[label] = float(np.linalg.norm(coords))

@@ -1,11 +1,14 @@
 """Seeded end-to-end invariant suite, runnable from the command line.
 
-Each group re-checks the mathematical contracts of one layer on randomized
-inputs: trace identities on the parity eigenspaces, projection completeness
-and orthogonality of the twelve-module split, trace-map rank facts, the two
-isomorphism spot checks, connection identities and curvature parity laws,
-realization round trips, and serialization.  The report is a deterministic
-function of (m_bar, trials, seed).
+Each group re-checks the mathematical laws of one layer on seeded random
+draws: trace identities on the parity eigenspaces, projection completeness,
+orthogonality and parity of the twelve-module split, where rho14 sends W2 and
+W4, the two isomorphism spot checks, connection identities and curvature
+parity laws, realization round trips, and serialization.  Facts that the
+per-size build already proves (ranks, column parities, the module carving)
+are not restated: a failed build certificate is an InternalCheckFailure,
+exit 3 from any command that builds.  The report is a deterministic function
+of (m_bar, trials, seed).
 """
 from __future__ import annotations
 
@@ -25,13 +28,10 @@ from .connections import (
 from .decomposition import (
     W_LABELS,
     bilinear_subspaces,
-    kahler_parity_subspaces,
-    w_dimension_formulas,
     w_project,
     w_subspaces,
 )
 from .realization import (
-    curvature_coefficient_map,
     realize,
     split_components,
 )
@@ -50,15 +50,12 @@ from .serialization import (
 )
 from .tensors import (
     SpaceConfig,
-    Tensor4,
     apply_j_slots,
     classify_symmetries,
     j_parity_residuals,
     j_parity_split,
-    rho13_of,
     rho14_of,
     ricci_traces,
-    scalar_traces,
 )
 
 
@@ -163,44 +160,19 @@ def _decomposition_checks(config: SpaceConfig, rng: np.random.Generator, trials:
             gap = da.components[label] - ref.components[label]
             worst_parity = max(worst_parity, gap.norm() / max(1.0, a.norm()))
 
-    # Rank facts about the trace maps on the constructed modules.
+    # rho14 maps W2 into S2- and W4 into L2-
     m = config.m
-
-    def stacked(*labels: str) -> np.ndarray:
-        return np.vstack([spaces[label].basis for label in labels]).reshape(-1, m, m, m, m)
-
-    taus = np.stack(scalar_traces(rho14_of(stacked("W5", "W6")), config), axis=1)
-    tau_rank = int(np.linalg.matrix_rank(taus, tol=1e-8))
-
-    dims = w_dimension_formulas(config.m_bar)
     bil = bilinear_subspaces(config)
-
-    def rho14_rank_and_residual(label, target_label):
-        images = rho14_of(stacked(label)).reshape(spaces[label].dim, -1)
-        rank = int(np.linalg.matrix_rank(images, tol=1e-8))
-        resid = max(bil[target_label].residual(img) for img in images)
-        return rank, resid
-
-    r2, res2 = rho14_rank_and_residual("W2", "S2-")
-    r4, res4 = rho14_rank_and_residual("W4", "L2-")
-    m0 = stacked("W1", "W3", "W7", "W8")
-    joint = np.concatenate([rho14_of(m0), rho13_of(m0)], axis=1).reshape(len(m0), -1)
-    joint_rank = int(np.linalg.matrix_rank(joint, tol=1e-8))
-
+    worst_image = {}
+    for label, target in (("W2", "S2-"), ("W4", "L2-")):
+        images = rho14_of(spaces[label].basis.reshape(-1, m, m, m, m)).reshape(spaces[label].dim, -1)
+        worst_image[label] = max(bil[target].residual(img) for img in images)
     return [
         CheckItem("modules.projection_complete", worst_complete, 1e-9),
         CheckItem("modules.pairwise_orthogonal", worst_orth, 1e-9),
         CheckItem("modules.parity_consistent", worst_parity, 1e-9),
-        CheckItem("modules.tau_pair_bijective_on_W5W6", float(2 - tau_rank), 0.0),
-        CheckItem("modules.rho14_rank_on_W2", float(dims["W2"] - r2), 0.0),
-        CheckItem("modules.rho14_image_in_S2minus", res2, 1e-9),
-        CheckItem("modules.rho14_rank_on_W4", float(dims["W4"] - r4), 0.0),
-        CheckItem("modules.rho14_image_in_L2minus", res4, 1e-9),
-        CheckItem(
-            "modules.joint_trace_rank_on_M0",
-            float(4 * (config.m_bar ** 2 - 1) - joint_rank),
-            0.0,
-        ),
+        CheckItem("modules.rho14_image_in_S2minus", worst_image["W2"], 1e-9),
+        CheckItem("modules.rho14_image_in_L2minus", worst_image["W4"], 1e-9),
     ]
 
 
@@ -233,7 +205,7 @@ def _isomorphism_checks(config: SpaceConfig) -> list[CheckItem]:
 
 def _connection_checks(config: SpaceConfig, rng: np.random.Generator, trials: int) -> list[CheckItem]:
     worst_torsion = worst_nabla = worst_link = 0.0
-    worst_in_k = worst_hol = worst_anti = anti_offsite = 0.0
+    worst_in_k = worst_hol = worst_anti = 0.0
     n_points = 5
     for _ in range(trials):
         theta = random_degree_one_theta(config, rng)
@@ -266,11 +238,6 @@ def _connection_checks(config: SpaceConfig, rng: np.random.Generator, trials: in
         aconn = connection_from_theta(anti)
         odd, _ = j_parity_residuals(curvature_at(aconn, np.zeros(config.m)))
         worst_anti = max(worst_anti, odd)
-        # measured but never asserted: away from the origin the curvature of
-        # an antiholomorphic field has no guaranteed parity
-        for _ in range(2):
-            offsite_odd, _even = j_parity_residuals(curvature_at(aconn, random_point(config, rng)))
-            anti_offsite = max(anti_offsite, offsite_odd)
     return [
         CheckItem("connection.torsion_free", worst_torsion, 0.0),
         CheckItem("connection.parallel_J", worst_nabla, 0.0),
@@ -278,28 +245,10 @@ def _connection_checks(config: SpaceConfig, rng: np.random.Generator, trials: in
         CheckItem("connection.curvature_in_K_at_points", worst_in_k, 1e-9),
         CheckItem("connection.holomorphic_curvature_odd", worst_hol, 1e-9),
         CheckItem("connection.antiholomorphic_origin_even", worst_anti, 1e-9),
-        CheckItem("connection.antiholomorphic_offsite_odd_info", anti_offsite, float("inf")),
     ]
 
 
 def _realization_checks(config: SpaceConfig, rng: np.random.Generator, trials: int) -> list[CheckItem]:
-    cmap = curvature_coefficient_map(config)
-    plus, minus = kahler_parity_subspaces(config)
-    hol_gap = float(minus.dim - cmap.ranks["hol"])
-    anti_gap = float(plus.dim - cmap.ranks["anti"])
-
-    hol_cols = cmap.matrix[:, cmap.column_mask("hol")]
-    anti_cols = cmap.matrix[:, cmap.column_mask("anti")]
-    worst_col_parity = 0.0
-    for col in hol_cols.T:
-        worst_col_parity = max(
-            worst_col_parity, j_parity_residuals(Tensor4.from_flat(config, col))[1]
-        )
-    for col in anti_cols.T:
-        worst_col_parity = max(
-            worst_col_parity, j_parity_residuals(Tensor4.from_flat(config, col))[0]
-        )
-
     worst_round = worst_purity = 0.0
     for _ in range(trials):
         tensor = random_kahler_tensor(config, rng)
@@ -321,9 +270,6 @@ def _realization_checks(config: SpaceConfig, rng: np.random.Generator, trials: i
                 vanish = result.theta.vanishes_at_origin()
                 worst_purity = max(worst_purity, 0.0 if (ok_hol and ok_anti and vanish) else 1.0)
     return [
-        CheckItem("realization.hol_columns_span_K_minus", hol_gap, 0.0),
-        CheckItem("realization.anti_columns_span_K_plus", anti_gap, 0.0),
-        CheckItem("realization.column_parity", worst_col_parity, 1e-12),
         CheckItem("realization.round_trip", worst_round, 1e-8),
         CheckItem("realization.split_mode_purity", worst_purity, 0.0),
     ]

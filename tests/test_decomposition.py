@@ -263,6 +263,32 @@ def test_broken_coefficient_map_columns_are_internal_errors(monkeypatch, mutate,
         decomposition.coefficient_map.__wrapped__(cfg)
 
 
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_a_column_rank_short_of_dim_k_plus_or_minus_is_an_internal_error(monkeypatch, m_bar):
+    # the certificate behind "the columns of each kind span K+ / K-"
+    from affine_kahler import decomposition
+
+    exact = decomposition._diagonal_pseudo_inverse
+
+    def one_short(gram):
+        weights, rank = exact(gram)
+        return weights, rank - 1
+
+    monkeypatch.setattr(decomposition, "_diagonal_pseudo_inverse", one_short)
+    with pytest.raises(InternalCheckFailure, match="not dim K"):
+        decomposition.coefficient_map.__wrapped__(SpaceConfig(m_bar))
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_a_parity_basis_short_of_the_exact_rank_is_an_internal_error(monkeypatch, m_bar):
+    from affine_kahler import decomposition
+
+    basis = decomposition._column_basis
+    monkeypatch.setattr(decomposition, "_column_basis", lambda *args: basis(*args)[:-1])
+    with pytest.raises(InternalCheckFailure, match="from the columns"):
+        decomposition.kahler_parity_subspaces.__wrapped__(SpaceConfig(m_bar))
+
+
 @pytest.mark.parametrize("m_bar", [2, 3, 4])
 def test_last_pair_swap_on_n_plus_has_spectrum_minus_one_zero_one(m_bar):
     # on N+ = W9 + W11 + W10 the swap S of the last two slots, compressed,

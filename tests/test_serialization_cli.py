@@ -361,6 +361,20 @@ def test_cli_paper_examples_rejects_wrong_rho_count(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_paper_examples_rejects_non_finite_rho(bad):
+    done = subprocess.run(
+        [sys.executable, "-m", "affine_kahler", "paper-examples", "--case", "4.1.1", f"--rho={bad},1"],
+        capture_output=True,
+        text=True,
+        cwd=str(FIXTURES.parent),
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "--rho" in lines[0]
+    assert "Tensor4" not in done.stderr
+
+
 def test_cli_paper_examples_w11_half(capsys):
     assert run_cli("paper-examples", "--case", "4.2.w11", "--mbar", "3") == 0
     assert "bianchi_combination 0.5 0.5 OK" in capsys.readouterr().out
