@@ -74,6 +74,20 @@ def _option_error(args) -> str | None:
     return None
 
 
+def _finite_numbers(option: str, text: str, count: int, owner: str) -> tuple[float, ...]:
+    """The ``count`` comma-separated finite numbers of an option value, or a
+    SchemaViolation (exit 2) naming the option."""
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise SchemaViolation(f"{option} {text} must be comma-separated numbers") from None
+    if not all(math.isfinite(value) for value in values):
+        raise SchemaViolation(f"{option} {text} has a non-finite value")
+    if len(values) != count:
+        raise SchemaViolation(f"{option}: {owner} takes {count} value(s), got {len(values)}")
+    return values
+
+
 def _cmd_dims(args) -> int:
     closed = module_dimension_table(args.mbar).dims
     computed = computed_dimension_table(SpaceConfig(args.mbar)).dims
@@ -152,17 +166,7 @@ def _cmd_realize(args) -> int:
 def _cmd_curvature(args) -> int:
     theta = read_theta_file(args.theta)
     m = 2 * theta.m_bar
-    try:
-        coords = [float(part) for part in args.point.split(",")]
-    except ValueError:
-        print("point coordinates must be numbers", file=sys.stderr)
-        return EXIT_USAGE
-    if not all(math.isfinite(c) for c in coords):
-        print(f"point {args.point} has a non-finite coordinate", file=sys.stderr)
-        return EXIT_USAGE
-    if len(coords) != m:
-        print(f"point needs {m} coordinates, got {len(coords)}", file=sys.stderr)
-        return EXIT_USAGE
+    coords = _finite_numbers("--point", args.point, m, f"a point in R^{m}")
     curv = curvature_at(connection_from_theta(theta), np.array(coords))
     payload = tensor_to_payload(curv)
     if args.out:
@@ -176,18 +180,7 @@ def _cmd_curvature(args) -> int:
 def _cmd_paper_examples(args) -> int:
     rho = None
     if args.rho is not None:
-        try:
-            rho = tuple(float(part) for part in args.rho.split(","))
-        except ValueError:
-            print("rho values must be numbers", file=sys.stderr)
-            return EXIT_USAGE
-        if not all(math.isfinite(r) for r in rho):
-            print(f"error: --rho {args.rho} has a non-finite value", file=sys.stderr)
-            return EXIT_USAGE
-        n_rho = len(CASES[args.case].default_rho)
-        if len(rho) != n_rho:
-            print(f"--rho: case {args.case} takes {n_rho} parameter(s), got {len(rho)}", file=sys.stderr)
-            return EXIT_USAGE
+        rho = _finite_numbers("--rho", args.rho, len(CASES[args.case].default_rho), f"case {args.case}")
     case = run_witness_case(args.case, rho=rho, m_bar=args.mbar)
     for check in case.checks:
         print(f"{check.name} {_fmt(check.expected)} {_fmt(check.computed)} {'OK' if check.ok else 'FAIL'}")

@@ -25,7 +25,9 @@ there; a derivative is the same kind of array, its coefficients multiplied
 by the exponent and moved to the lowered monomial, built once per
 connection.  Equal polynomials have equal coefficient rows and evaluate to
 equal values, so the exact symmetries of the generated connections survive
-evaluation.
+evaluation.  The origin curvature of a degree-1 field (the map K is built
+from) is the same scatter differentiated: the scatter of the coefficient
+gradients, antisymmetrized in the direction and the first slot.
 """
 from __future__ import annotations
 
@@ -333,21 +335,31 @@ class AffineConnection:
         return values, derivs
 
 
+def _christoffel_scatter(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The signed block scatter of (U, V) into Christoffel coefficients.
+
+    U and V have shape (..., m_bar, m_bar, m_bar, n), any leading stack axes
+    and a last axis n carried along; the result has shape (..., m, m, m, n)
+    with out[..., a, b, c, :] the coefficients of Gamma[a][b][c].
+    """
+    m_bar = U.shape[-2]
+    e, f = slice(0, m_bar), slice(m_bar, 2 * m_bar)
+    out = np.zeros(U.shape[:-4] + (2 * m_bar,) * 3 + U.shape[-1:])
+    out[..., e, e, e, :] = U           # nabla_{e} e = u e_k + v f_k
+    out[..., e, e, f, :] = V
+    out[..., f, f, e, :] = -U          # nabla_{f} f = -(u e_k + v f_k)
+    out[..., f, f, f, :] = -V
+    out[..., e, f, e, :] = -V          # nabla_{e} f = -v e_k + u f_k
+    out[..., e, f, f, :] = U
+    out[..., f, e, e, :] = -V          # nabla_{f} e agrees with nabla_{e} f
+    out[..., f, e, f, :] = U
+    return out
+
+
 def connection_from_theta(theta: ThetaField) -> AffineConnection:
     """Assemble the Christoffel data as the signed block scatter of U and V."""
-    m_bar = theta.m_bar
     U, V, E = theta.arrays
-    e, f = slice(0, m_bar), slice(m_bar, 2 * m_bar)
-    coeffs = np.zeros((2 * m_bar,) * 3 + (len(E),))
-    coeffs[e, e, e] = U           # nabla_{e} e = u e_k + v f_k
-    coeffs[e, e, f] = V
-    coeffs[f, f, e] = -U          # nabla_{f} f = -(u e_k + v f_k)
-    coeffs[f, f, f] = -V
-    coeffs[e, f, e] = -V          # nabla_{e} f = -v e_k + u f_k
-    coeffs[e, f, f] = U
-    coeffs[f, e, e] = -V          # nabla_{f} e agrees with nabla_{e} f
-    coeffs[f, e, f] = U
-    return AffineConnection(theta.config, E, coeffs)
+    return AffineConnection(theta.config, E, _christoffel_scatter(U, V))
 
 
 def torsion_residual(conn: AffineConnection) -> float:
@@ -407,9 +419,9 @@ def linear_curvature_at_zero(theta: ThetaField) -> Tensor4:
     """Curvature at the origin assembled directly from the coefficient gradients.
 
     Valid only for degree <= 1 fields vanishing at the origin, where the
-    quadratic Christoffel products drop out and each curvature component is a
-    signed combination of first derivatives of u and v.  Cross-validated in
-    the tests against the Christoffel route.
+    quadratic Christoffel products drop out.  It shares the Christoffel
+    scatter with ``curvature_at``; its independent cross-check is the dict
+    route of the tests, one polynomial per Christoffel symbol.
     """
     grads = degree_one_gradients(theta)
     return Tensor4(theta.config, linear_curvature_from_gradients(grads[0], grads[1]))
@@ -420,49 +432,9 @@ def linear_curvature_from_gradients(grad_u: np.ndarray, grad_v: np.ndarray) -> n
 
     ``grad_u[..., i, j, k, :]`` and ``grad_v[..., i, j, k, :]`` are the
     gradients at the origin of u_{ijk} and v_{ijk} (symmetric in i, j), with
-    any leading stack axes; the result has shape (..., m, m, m, m).
+    any leading stack axes; the result has shape (..., m, m, m, m).  The
+    scatter of the gradients is D[..., a, b, c, d] = d_a Gamma[b][c][d] at
+    the origin, where Gamma vanishes, so R = D - D with a and b swapped.
     """
-    m_bar = grad_u.shape[-2]
-    m = 2 * m_bar
-
-    # P(X)[i, j, k, l] = derivative-in-direction-i of X_{jkl}.
-    def against(block: np.ndarray) -> np.ndarray:
-        return np.moveaxis(block, -1, -4)
-
-    def swap12(block: np.ndarray) -> np.ndarray:
-        return np.swapaxes(block, -4, -3)
-
-    eu = against(grad_u[..., :m_bar])   # e_i u_{jkl}
-    fu = against(grad_u[..., m_bar:])   # f_i u_{jkl}
-    ev = against(grad_v[..., :m_bar])   # e_i v_{jkl}
-    fv = against(grad_v[..., m_bar:])   # f_i v_{jkl}
-
-    def antis(block: np.ndarray) -> np.ndarray:
-        return block - swap12(block)
-
-    e = slice(0, m_bar)
-    f = slice(m_bar, m)
-    out = np.zeros(grad_u.shape[:-4] + (m, m, m, m))
-
-    a_eu = antis(eu)
-    a_fu = antis(fu)
-    a_ev = antis(ev)
-    a_fv = antis(fv)
-
-    out[..., e, e, e, e] = a_eu
-    out[..., e, e, f, f] = a_eu
-    out[..., f, f, e, e] = -a_fv
-    out[..., f, f, f, f] = -a_fv
-    out[..., e, e, e, f] = a_ev
-    out[..., e, e, f, e] = -a_ev
-    out[..., f, f, e, f] = a_fu
-    out[..., f, f, f, e] = -a_fu
-
-    mixed_ee = -ev - swap12(fu)   # A(e_i, f_j, e_k, e_l)
-    mixed_ef = eu - swap12(fv)    # A(e_i, f_j, e_k, f_l)
-    out[..., e, f, e, e] = mixed_ee
-    out[..., e, f, f, f] = mixed_ee
-    out[..., e, f, e, f] = mixed_ef
-    out[..., e, f, f, e] = -mixed_ef
-    out[..., f, e, :, :] = -swap12(out[..., e, f, :, :])
-    return out
+    derivs = np.moveaxis(_christoffel_scatter(grad_u, grad_v), -1, -4)
+    return derivs - derivs.swapaxes(-4, -3)

@@ -184,22 +184,6 @@ _UNIT_GRADIENTS = {
 }
 
 
-def _unit_gradient_stack(m_bar: int, keys: tuple[ColumnKey, ...]) -> np.ndarray:
-    """Origin gradients of u and v of each unit parameter field.
-
-    Shape (len(keys), 2, m_bar, m_bar, m_bar, m), symmetric in the entry
-    indices i, j; index 1 selects u or v.
-    """
-    i, j, k, a = (np.array([key[field] for key in keys], dtype=int) - 1 for field in range(4))
-    pattern = np.array([_UNIT_GRADIENTS[key.kind, key.part] for key in keys], dtype=float)
-    stack = np.zeros((len(keys), 2, m_bar, m_bar, m_bar, 2 * m_bar))
-    col = np.arange(len(keys))
-    for rows, cols in ((i, j), (j, i)):
-        stack[col, :, rows, cols, k, a] = pattern[:, :, 0]
-        stack[col, :, rows, cols, k, m_bar + a] = pattern[:, :, 1]
-    return stack
-
-
 @functools.lru_cache(maxsize=8)
 def _parameter_layout(m_bar: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where each parameter's unit gradient pattern sits: (parameter, flat
@@ -219,6 +203,13 @@ def _parameter_layout(m_bar: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return param, flat, pattern[param, uv, xy]
 
 
+def _mirror_upper(grads: np.ndarray) -> np.ndarray:
+    """Gradient arrays (..., 2, m_bar, m_bar, m_bar, m) with each entry i <= j copied to (j, i)."""
+    m_bar = grads.shape[-3]
+    upper = np.triu(np.ones((m_bar, m_bar), dtype=bool))[:, :, None, None]
+    return np.where(upper, grads, grads.swapaxes(-4, -3))
+
+
 def theta_from_coefficients(config: SpaceConfig, coeffs: np.ndarray) -> ThetaField:
     """Rebuild the degree-1, origin-vanishing field a parameter vector describes.
 
@@ -231,9 +222,7 @@ def theta_from_coefficients(config: SpaceConfig, coeffs: np.ndarray) -> ThetaFie
     param, flat, sign = _parameter_layout(m_bar)
     shape = (2, m_bar, m_bar, m_bar, 2 * m_bar)
     grads = np.bincount(flat, weights=sign * np.asarray(coeffs, dtype=float)[param], minlength=np.prod(shape))
-    grads = grads.reshape(shape)
-    upper = np.triu(np.ones((m_bar, m_bar), dtype=bool))[:, :, None, None]
-    grads = np.where(upper, grads, grads.swapaxes(1, 2))
+    grads = _mirror_upper(grads.reshape(shape))
     return ThetaField.from_arrays(m_bar, grads[0], grads[1], np.eye(2 * m_bar, dtype=np.int64))
 
 
@@ -344,20 +333,25 @@ def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
     direction.  In exact integer arithmetic, the matrix must be
     integer-valued (int8), every column must satisfy the defining identities,
     the holomorphic columns must be J-odd and the antiholomorphic ones
-    J-even, the two kinds orthogonal, and each kind's diagonal pseudo-inverse
-    of the closed-form rank: dim K+ for the antiholomorphic columns, dim K-
-    for the holomorphic ones.  So the two kinds span the parity eigenspaces
-    K+ and K- of K.  A failure is an internal error.  Every per-size build
-    starts here, so an m_bar above MAX_M_BAR is refused (SchemaViolation)
-    before anything is allocated.
+    J-even (so the two kinds are orthogonal: J-conjugation is a signed
+    permutation), and each kind's diagonal pseudo-inverse of the closed-form
+    rank: dim K+ for the antiholomorphic columns, dim K- for the holomorphic
+    ones.  So the two kinds span the parity eigenspaces K+ and K- of K.  A
+    failure is an internal error.  Every per-size build starts here, so an
+    m_bar above MAX_M_BAR is refused (SchemaViolation) before anything is
+    allocated.
     """
     _require_decomposable(config.m_bar)
     if config.m_bar > MAX_M_BAR:
         raise SchemaViolation(
             f"per-size structures are built for m_bar <= MAX_M_BAR = {MAX_M_BAR}, got {config.m_bar}"
         )
-    keys = _column_keys(config.m_bar)
-    grads = _unit_gradient_stack(config.m_bar, keys)
+    m_bar = config.m_bar
+    keys = _column_keys(m_bar)
+    param, flat, unit = _parameter_layout(m_bar)
+    grads = np.zeros((len(keys), 4 * m_bar**4))
+    grads[param, flat] = unit  # the origin gradients of each unit parameter field
+    grads = _mirror_upper(grads.reshape(len(keys), 2, m_bar, m_bar, m_bar, 2 * m_bar))
     stack = linear_curvature_from_gradients(grads[:, 0], grads[:, 1])
     small = stack.astype(np.int8)
     if not np.array_equal(small, stack):  # small integers survive the int8 round trip
@@ -377,10 +371,8 @@ def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
     cols = np.ascontiguousarray(stack.reshape(len(keys), -1).T)
     cols.setflags(write=False)
     gram = _exact_product(cols.T, cols)
-    if np.any(gram[np.ix_(hol, ~hol)]):
-        raise InternalCheckFailure("the holomorphic and antiholomorphic columns are not orthogonal")
     weights, ranks = np.zeros(len(keys)), {}
-    dims = module_dimension_table(config.m_bar).dims
+    dims = module_dimension_table(m_bar).dims
     for kind, columns, label in ((ANTIHOLOMORPHIC, ~hol, "K+"), (HOLOMORPHIC, hol, "K-")):
         weights[columns], ranks[kind] = _diagonal_pseudo_inverse(gram[np.ix_(columns, columns)])
         if ranks[kind] != dims[label]:

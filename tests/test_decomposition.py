@@ -10,9 +10,9 @@ from affine_kahler.connections import ThetaField, degree_one_gradients, linear_c
 from affine_kahler.decomposition import (
     W_LABELS,
     ColumnKey,
+    _UNIT_GRADIENTS,
     _coefficients_of,
     _column_keys,
-    _unit_gradient_stack,
     bilinear_decompose,
     bilinear_subspaces,
     clear_caches,
@@ -41,6 +41,7 @@ from affine_kahler.tensors import (
     ricci_traces,
     standard_complex_structure,
 )
+import christoffel_oracle
 from constraint_oracle import ambient_w_subspaces, kahler_constraint_matrix, nullspace_route_spaces, rank_mod_p
 
 # Dimensions of the twelve modules, frozen from the closed forms.
@@ -131,12 +132,21 @@ def _unit_theta(m_bar: int, key: ColumnKey) -> ThetaField:
 
 @pytest.mark.parametrize("m_bar", [2, 3])
 def test_batched_coefficient_map_equals_per_key_columns(m_bar):
-    # one batched gradient stack against one linear_curvature_at_zero per key
+    # one batched gradient stack against one linear_curvature_at_zero per key,
+    # and against the dict route, which shares no code with the array route
     cmap = coefficient_map(SpaceConfig(m_bar))
-    cols = np.stack(
-        [linear_curvature_at_zero(_unit_theta(m_bar, key)).flatten() for key in cmap.columns], axis=1
-    )
+    units = [_unit_theta(m_bar, key) for key in cmap.columns]
+    cols = np.stack([linear_curvature_at_zero(unit).flatten() for unit in units], axis=1)
     assert np.array_equal(cmap.matrix, cols)
+    origin = np.zeros(2 * m_bar)
+    dict_cols = np.stack(
+        [
+            christoffel_oracle.curvature_at(christoffel_oracle.gamma_from_theta(unit), m_bar, origin).reshape(-1)
+            for unit in units
+        ],
+        axis=1,
+    )
+    assert np.array_equal(cmap.matrix, dict_cols)
 
 
 @pytest.mark.parametrize("m_bar", [2, 3])
@@ -153,6 +163,19 @@ def test_parameter_vector_survives_field_round_trip(m_bar, rng):
             assert (part - again).max_abs_coeff() <= 1e-14 * part.max_abs_coeff()
 
 
+def _unit_gradient_stack(m_bar: int) -> np.ndarray:
+    # origin gradients of u and v of each unit parameter field, written out
+    # key by key: shape (n_keys, 2, m_bar, m_bar, m_bar, m), symmetric in i, j
+    keys = _column_keys(m_bar)
+    stack = np.zeros((len(keys), 2, m_bar, m_bar, m_bar, 2 * m_bar))
+    for col, key in enumerate(keys):
+        for uv, (dx, dy) in enumerate(_UNIT_GRADIENTS[key.kind, key.part]):
+            for i, j in ((key.i, key.j), (key.j, key.i)):
+                stack[col, uv, i - 1, j - 1, key.k - 1, key.a - 1] = dx
+                stack[col, uv, i - 1, j - 1, key.k - 1, m_bar + key.a - 1] = dy
+    return stack
+
+
 @pytest.mark.parametrize("m_bar", [1, 2, 3, 4])
 def test_signed_scatter_equals_the_unit_gradient_contraction(m_bar):
     # The oracle contracts the parameter vector against the stack of unit
@@ -160,7 +183,7 @@ def test_signed_scatter_equals_the_unit_gradient_contraction(m_bar):
     # direct scatter and gather must agree bit for bit.
     rng = np.random.default_rng(m_bar)
     keys = _column_keys(m_bar)
-    stack = _unit_gradient_stack(m_bar, keys)
+    stack = _unit_gradient_stack(m_bar)
     upper = np.triu(np.ones((m_bar, m_bar), dtype=bool))[:, :, None, None]
     for _ in range(4):
         coeffs = rng.standard_normal(len(keys)) * 10.0 ** rng.integers(-8, 9, len(keys))

@@ -56,11 +56,13 @@ def test_map_ranks(m_bar):
         assert np.linalg.matrix_rank(cmap.matrix[:, cmap.column_mask(kind)]) == rank
 
 
-@pytest.mark.parametrize("m_bar", [2, 3])
+@pytest.mark.parametrize("m_bar", [2, 3, 4])
 def test_columns_have_the_right_parity(m_bar):
     cfg = SpaceConfig(m_bar)
     cmap = curvature_coefficient_map(cfg)
     hol_mask = cmap.column_mask("hol")
+    # J-odd and J-even columns are orthogonal, so the cross-kind Gram block is exactly zero
+    assert not cmap.gram[np.ix_(hol_mask, ~hol_mask)].any()
     for idx, is_hol in enumerate(hol_mask):
         tensor = Tensor4.from_flat(cfg, cmap.matrix[:, idx])
         odd, even = j_parity_residuals(tensor)

@@ -375,6 +375,25 @@ def test_cli_paper_examples_rejects_non_finite_rho(bad):
     assert "Tensor4" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("paper-examples", "--case", "4.1.1", "--rho", "x,1"), "--rho"),
+        (("paper-examples", "--case", "4.1.1", "--rho", "1,2,3"), "--rho"),
+        (("paper-examples", "--case", "4.1.1", "--rho", "nan,1"), "--rho"),
+        (("curvature", "--theta", str(FIXTURES / "theta_4_1_1.json"), "--point", "a,0,0,0"), "--point"),
+        (("curvature", "--theta", str(FIXTURES / "theta_4_1_1.json"), "--point", "inf,0,0,0"), "--point"),
+        (("curvature", "--theta", str(FIXTURES / "theta_4_1_1.json"), "--point", "0,0,0"), "--point"),
+    ],
+    ids=["rho-word", "rho-count", "rho-nan", "point-word", "point-inf", "point-count"],
+)
+def test_cli_number_list_errors_are_one_error_line_naming_the_option(capsys, argv, option):
+    assert run_cli(*argv) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1 and lines[0].startswith("error: ") and option in lines[0]
+
+
 def test_cli_paper_examples_w11_half(capsys):
     assert run_cli("paper-examples", "--case", "4.2.w11", "--mbar", "3") == 0
     assert "bianchi_combination 0.5 0.5 OK" in capsys.readouterr().out
