@@ -340,11 +340,12 @@ def _christoffel_scatter(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
     U and V have shape (..., m_bar, m_bar, m_bar, n), any leading stack axes
     and a last axis n carried along; the result has shape (..., m, m, m, n)
-    with out[..., a, b, c, :] the coefficients of Gamma[a][b][c].
+    with out[..., a, b, c, :] the coefficients of Gamma[a][b][c], in the
+    common dtype of U and V.
     """
     m_bar = U.shape[-2]
     e, f = slice(0, m_bar), slice(m_bar, 2 * m_bar)
-    out = np.zeros(U.shape[:-4] + (2 * m_bar,) * 3 + U.shape[-1:])
+    out = np.zeros(U.shape[:-4] + (2 * m_bar,) * 3 + U.shape[-1:], dtype=np.result_type(U, V))
     out[..., e, e, e, :] = U           # nabla_{e} e = u e_k + v f_k
     out[..., e, e, f, :] = V
     out[..., f, f, e, :] = -U          # nabla_{f} f = -(u e_k + v f_k)
@@ -432,9 +433,10 @@ def linear_curvature_from_gradients(grad_u: np.ndarray, grad_v: np.ndarray) -> n
 
     ``grad_u[..., i, j, k, :]`` and ``grad_v[..., i, j, k, :]`` are the
     gradients at the origin of u_{ijk} and v_{ijk} (symmetric in i, j), with
-    any leading stack axes; the result has shape (..., m, m, m, m).  The
-    scatter of the gradients is D[..., a, b, c, d] = d_a Gamma[b][c][d] at
-    the origin, where Gamma vanishes, so R = D - D with a and b swapped.
+    any leading stack axes; the result has shape (..., m, m, m, m) and their
+    dtype.  The scatter of the gradients is D[..., a, b, c, d] =
+    d_a Gamma[b][c][d] at the origin, where Gamma vanishes, so R = D - D with
+    a and b swapped.
     """
     derivs = np.moveaxis(_christoffel_scatter(grad_u, grad_v), -1, -4)
     return derivs - derivs.swapaxes(-4, -3)

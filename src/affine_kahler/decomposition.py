@@ -2,14 +2,14 @@
 
 K is realized concretely from the image of the degree-1 coefficient map: the
 origin curvatures of the unit degree-1, origin-vanishing coefficient
-directions.  The columns are assembled once per size and each must satisfy
+directions, assembled once per size in integers; each column must satisfy
 the three defining identities (antisymmetry in the first pair, the first
-Bianchi identity, J-invariance of the last pair).  The map C is integer-valued
-with a diagonal pseudo-inverse W C^T, proven in exact arithmetic together with
-the rank of each column kind, which must be the closed-form dimension, and
-with the J-parity of every column: the holomorphic columns are exactly J-odd
-and the antiholomorphic ones exactly J-even, so they span the parity
-eigenspaces K- / K+.  Their orthonormal bases come from the columns by exact
+Bianchi identity, J-invariance of the last pair).  The map C has a diagonal
+pseudo-inverse W C^T, proven in exact arithmetic together with the rank of
+each column kind, which must be the closed-form dimension, and with the
+J-parity of every column: the holomorphic columns are exactly J-odd and the
+antiholomorphic ones exactly J-even, so they span the parity eigenspaces
+K- / K+.  Their orthonormal bases come from the columns by exact
 Gram-Schmidt on the integer Gram matrix, with no singular-value cutoff, and K
 is their stack, K = K+ (+) K-.  The kernel of the integer constraint matrix of
 the three identities is an independent oracle for K kept in the tests.
@@ -43,6 +43,7 @@ from .tensors import (
     SpaceConfig,
     Tensor4,
     apply_j_slots,
+    j_conjugate_flat,
     k_identity_violations,
     kahler_form,
     require_bounded_entries,
@@ -62,9 +63,9 @@ DIMENSION_LABELS = ("K", "K+", "K-") + W_LABELS + ("S2-", "S2_0+", "L2-", "L2_0+
 _MIN_M_BAR = 2
 
 #: Largest m_bar any per-size structure is built for.  The dense coefficient
-#: map and its gradient stack grow like m_bar^7: a cold build peaks near
-#: 450-530 MiB at m_bar = 5, and at m_bar = 8 the map's curvature stack alone
-#: would take 4.8 GB.
+#: map grows like m_bar^7: a cold map build peaks near 190 MiB and a cold
+#: `dims` near 410 MiB at m_bar = 5, and at m_bar = 8 the map's float copy
+#: alone would take 4.8 GB.
 MAX_M_BAR = 5
 
 #: Absolute singular-value floor for rank decisions during module
@@ -195,7 +196,7 @@ def _parameter_layout(m_bar: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keys = _column_keys(m_bar)
     lo, hi, k, a = (np.array([key[field] for key in keys], dtype=np.int64) - 1 for field in range(4))
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    pattern = np.array([_UNIT_GRADIENTS[key.kind, key.part] for key in keys], dtype=float)
+    pattern = np.array([_UNIT_GRADIENTS[key.kind, key.part] for key in keys], dtype=np.int8)
     param, uv, xy = np.nonzero(pattern)
     flat = np.ravel_multi_index(
         (uv, lo[param], hi[param], k[param], a[param] + m_bar * xy), (2, m_bar, m_bar, m_bar, 2 * m_bar)
@@ -256,20 +257,12 @@ class CurvatureCoefficientMap:
         return self.kinds == kind
 
 
-def _j_conjugation(config: SpaceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Full J-conjugation of flattened tensors as one signed gather:
-    conj[f] = sign[f] * flat[source[f]] (read off J applied to the flat
-    indices, counted from 1)."""
-    m = config.m
-    signed = apply_j_slots(np.arange(1, m**4 + 1).reshape(m, m, m, m), config, (0, 1, 2, 3)).reshape(-1)
-    return np.abs(signed).astype(np.intp) - 1, np.sign(signed).astype(np.int8)
-
-
 def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b of integer-valued float arrays, free of rounding in any summation
     order: every partial sum is an integer of at most inner * max|a| * max|b|,
     which must stay below 2^53."""
-    if a.shape[-1] * np.abs(a).max(initial=0.0) * np.abs(b).max(initial=0.0) >= 2.0**53:
+    top_a, top_b = (max(x.max(initial=0.0), -x.min(initial=0.0)) for x in (a, b))  # no |x| copies
+    if a.shape[-1] * top_a * top_b >= 2.0**53:
         raise InternalCheckFailure("an integer product leaves the exact range of float64")
     return a @ b
 
@@ -330,15 +323,16 @@ def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
     """The parameter-to-curvature matrix K is built from, assembled once per size.
 
     Each column is the origin curvature of a unit degree-1 coefficient
-    direction.  In exact integer arithmetic, the matrix must be
-    integer-valued (int8), every column must satisfy the defining identities,
-    the holomorphic columns must be J-odd and the antiholomorphic ones
-    J-even (so the two kinds are orthogonal: J-conjugation is a signed
-    permutation), and each kind's diagonal pseudo-inverse of the closed-form
-    rank: dim K+ for the antiholomorphic columns, dim K- for the holomorphic
-    ones.  So the two kinds span the parity eigenspaces K+ and K- of K.  A
-    failure is an internal error.  Every per-size build starts here, so an
-    m_bar above MAX_M_BAR is refused (SchemaViolation) before anything is
+    direction, an int16 stack with entries in {-2, ..., 2} whose one float
+    copy is the matrix.  In exact integer arithmetic, every column must
+    satisfy the defining identities, the holomorphic columns must be J-odd
+    and the antiholomorphic ones J-even (so the two kinds are orthogonal:
+    J-conjugation is a signed permutation), each kind must have a diagonal
+    pseudo-inverse of the closed-form rank (dim K+ for the antiholomorphic
+    columns, dim K- for the holomorphic ones) and the Gram must fit in int8.
+    So the two kinds span the parity eigenspaces K+ and K- of K.  A failure
+    is an internal error.  Every per-size build starts here, so an m_bar
+    above MAX_M_BAR is refused (SchemaViolation) before anything is
     allocated.
     """
     _require_decomposable(config.m_bar)
@@ -349,26 +343,21 @@ def coefficient_map(config: SpaceConfig) -> CurvatureCoefficientMap:
     m_bar = config.m_bar
     keys = _column_keys(m_bar)
     param, flat, unit = _parameter_layout(m_bar)
-    grads = np.zeros((len(keys), 4 * m_bar**4))
+    grads = np.zeros((len(keys), 4 * m_bar**4), dtype=np.int16)
     grads[param, flat] = unit  # the origin gradients of each unit parameter field
     grads = _mirror_upper(grads.reshape(len(keys), 2, m_bar, m_bar, m_bar, 2 * m_bar))
+    # Entries in {-2, ..., 2}: the identity sums of three and the negations cannot wrap in int16.
     stack = linear_curvature_from_gradients(grads[:, 0], grads[:, 1])
-    small = stack.astype(np.int8)
-    if not np.array_equal(small, stack):  # small integers survive the int8 round trip
-        raise InternalCheckFailure("the coefficient map is not integer-valued")
-    small = small.astype(np.int16)  # sums of three int8 values, or a negated -128, cannot wrap
-    worst = max(k_identity_violations(small, config).values())
+    worst = max(k_identity_violations(stack, config).values())
     if worst:
         raise InternalCheckFailure(f"a coefficient-map column violates the identities by {worst:.0f}")
     kinds = np.array([key.kind for key in keys])
     hol = kinds == HOLOMORPHIC
-    source, sign = _j_conjugation(config)
-    small = small.reshape(len(keys), -1)
-    parity = np.where(hol, -1, 1).astype(np.int16)
-    if not np.array_equal(np.take(small, source, axis=1) * sign, parity[:, None] * small):
+    stack = stack.reshape(len(keys), -1)
+    if not np.array_equal(j_conjugate_flat(stack, m_bar), np.where(hol[:, None], -stack, stack)):
         raise InternalCheckFailure("a coefficient-map column has the wrong J-parity")
-    del small
-    cols = np.ascontiguousarray(stack.reshape(len(keys), -1).T)
+    cols = np.ascontiguousarray(stack.T, dtype=float)
+    del stack, grads
     cols.setflags(write=False)
     gram = _exact_product(cols.T, cols)
     weights, ranks = np.zeros(len(keys)), {}

@@ -243,6 +243,13 @@ def signed_gather(flat: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.concatenate((flat, -flat))[rows]
 
 
+def j_conjugate_flat(flat: np.ndarray, m_bar: int) -> np.ndarray:
+    """apply_j_slots(A, (0, 1, 2, 3)) of flattened tensors stacked along
+    leading axes, as the table's signed gather; exact in any signed dtype."""
+    # np.take, not [..., rows]: on large stacks that indexing is 2-5x slower.
+    return np.take(np.concatenate((flat, -flat), axis=-1), gather_table(m_bar)[_J0123], axis=-1)
+
+
 def _j_conjugate(tensor: Tensor4) -> np.ndarray:
     """apply_j_slots(A, (0, 1, 2, 3)) as the table's one signed gather."""
     conj = signed_gather(tensor.flatten(), gather_table(tensor.config.m_bar)[_J0123])

@@ -13,6 +13,7 @@ from affine_kahler.connections import (
     curvature_at,
     holomorphy_type,
     linear_curvature_at_zero,
+    linear_curvature_from_gradients,
     nabla_j_residual,
     torsion_residual,
 )
@@ -156,9 +157,18 @@ def test_linear_route_equals_christoffel_route(rng):
         cfg = SpaceConfig(m_bar)
         for _ in range(5):
             theta = random_degree_one_theta(cfg, rng)
+            conn = connection_from_theta(theta)
+            assert conn.coeffs.dtype == np.float64
             via_table = linear_curvature_at_zero(theta)
-            via_gamma = curvature_at(connection_from_theta(theta), np.zeros(cfg.m))
+            via_gamma = curvature_at(conn, np.zeros(cfg.m))
             assert np.array_equal(via_table.entries, via_gamma.entries)
+    for m_bar in (2, 3, 4):
+        # every unit origin gradient, symmetrized in i, j: exact in int16
+        eye = np.eye(4 * m_bar**4, dtype=np.int16).reshape(-1, 2, m_bar, m_bar, m_bar, 2 * m_bar)
+        grads = eye + eye.swapaxes(-4, -3)
+        exact = linear_curvature_from_gradients(grads[:, 0], grads[:, 1])
+        assert exact.dtype == np.int16
+        assert np.array_equal(exact, linear_curvature_from_gradients(*grads.astype(float).swapaxes(0, 1)))
 
 
 def test_linear_route_rejects_bad_input():
