@@ -331,40 +331,59 @@ def test_cli_paper_examples_table(capsys):
     assert "tau_tilde_J -4 -4 OK" in out
 
 
-_ZERO_THETA = "<zero theta at m_bar = 2>"  # written to a file by the test
+def test_cli_curvature_rejects_bad_point(tmp_path, capsys):
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps({"m_bar": 2, "entries": []}), encoding="utf-8")
+    assert run_cli("curvature", "--theta", str(theta_path), "--point", "1,2,3") == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1 and lines[0].startswith("error: ") and "--point" in lines[0]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_cli_curvature_rejects_non_finite_point(tmp_path, bad):
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(json.dumps({"m_bar": 2, "entries": []}), encoding="utf-8")
+    point = f"{bad},0,0,0"
+    done = subprocess.run(
+        [sys.executable, "-m", "affine_kahler", "curvature", "--theta", str(theta_path), f"--point={point}"],
+        capture_output=True,
+        text=True,
+        cwd=str(FIXTURES.parent),
+    )
+    assert done.returncode == 2
+    assert point in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stdout == ""
+
+
+def test_cli_paper_examples_rejects_wrong_rho_count(capsys):
+    assert run_cli("paper-examples", "--case", "4.1.1", "--rho", "1") == 2
+    out, err = capsys.readouterr()
+    assert "--rho" in err and "takes 2" in err
+    assert out == ""
 
 
 @pytest.mark.filterwarnings("error")  # a RuntimeWarning from a non-finite value fails the run
 @pytest.mark.parametrize(
-    "argv,named",
+    "argv,option",
     [
-        (("paper-examples", "--case", "4.1.1", "--rho", "x,1"), ("--rho",)),
-        (("paper-examples", "--case", "4.1.1", "--rho", "1,2,3"), ("--rho",)),
-        (("paper-examples", "--case", "4.1.1", "--rho", "nan,1"), ("--rho",)),
-        (("paper-examples", "--case", "4.1.1", "--rho", "1"), ("--rho", "takes 2")),
-        *((("paper-examples", "--case", "4.1.1", f"--rho={bad},1"), ("--rho",)) for bad in ("nan", "inf", "-inf")),
-        (("curvature", "--theta", str(FIXTURES / "theta_4_1_1.json"), "--point", "a,0,0,0"), ("--point",)),
-        (("curvature", "--theta", str(FIXTURES / "theta_4_1_1.json"), "--point", "inf,0,0,0"), ("--point",)),
-        (("curvature", "--theta", str(FIXTURES / "theta_4_1_1.json"), "--point", "0,0,0"), ("--point",)),
-        (("curvature", "--theta", _ZERO_THETA, "--point", "1,2,3"), ("--point",)),
-        *(
-            (("curvature", "--theta", _ZERO_THETA, f"--point={bad},0,0,0"), ("--point", f"{bad},0,0,0"))
-            for bad in ("nan", "inf", "-inf")
-        ),
+        (("paper-examples", "--case", "4.1.1", "--rho", "x,1"), "--rho"),
+        (("paper-examples", "--case", "4.1.1", "--rho", "1,2,3"), "--rho"),
+        (("paper-examples", "--case", "4.1.1", "--rho", "nan,1"), "--rho"),
+        *((("paper-examples", "--case", "4.1.1", f"--rho={bad},1"), "--rho") for bad in ("nan", "inf", "-inf")),
+        (("curvature", "--theta", str(FIXTURES / "theta_4_1_1.json"), "--point", "a,0,0,0"), "--point"),
+        (("curvature", "--theta", str(FIXTURES / "theta_4_1_1.json"), "--point", "inf,0,0,0"), "--point"),
+        (("curvature", "--theta", str(FIXTURES / "theta_4_1_1.json"), "--point", "0,0,0"), "--point"),
     ],
-    ids=[
-        "rho-word", "rho-count", "rho-nan", "rho-count-1", "rho=nan", "rho=inf", "rho=-inf",
-        "point-word", "point-inf", "point-count", "point-count-3", "point=nan", "point=inf", "point=-inf",
-    ],
+    ids=["rho-word", "rho-count", "rho-nan", "rho=nan", "rho=inf", "rho=-inf", "point-word", "point-inf", "point-count"],
 )
-def test_cli_number_list_errors_are_one_error_line_naming_the_option(tmp_path, capsys, argv, named):
-    zero = tmp_path / "theta.json"
-    zero.write_text(json.dumps({"m_bar": 2, "entries": []}), encoding="utf-8")
-    assert run_cli(*(str(zero) if arg == _ZERO_THETA else arg for arg in argv)) == 2
+def test_cli_number_list_errors_are_one_error_line_naming_the_option(capsys, argv, option):
+    assert run_cli(*argv) == 2
     out, err = capsys.readouterr()
     lines = err.splitlines()
-    assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
-    assert all(part in lines[0] for part in named) and "Tensor4" not in err
+    assert out == "" and len(lines) == 1 and lines[0].startswith("error: ") and option in lines[0]
+    assert "Tensor4" not in err
 
 
 def test_cli_paper_examples_w11_half(capsys):
