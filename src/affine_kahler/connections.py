@@ -14,20 +14,20 @@ y_1..y_mbar) and real coefficients along a last axis.  A field is stored as
 its u and v arrays U, V of shape (m_bar, m_bar, m_bar, n_mon) over E
 (``ThetaField.arrays``), from parsed files and solved parameter vectors
 alike; its ``ComplexPoly`` entries are built only for the callers that read
-them.  The Christoffel data is one array of shape (m, m, m, n_mon), the
-signed block scatter of U and V above.  Every
-Christoffel symbol receives exactly one signed copy of one coefficient, so
-assembly is exact.  So are the torsion and nabla-J residuals (differences of
-such copies) and the Cauchy-Riemann check (derivative coefficients, each one
-product coefficient * exponent, compared with == 0).  Curvature is evaluated
-exactly at any point from the Christoffel values and first derivatives
-there; a derivative is the same kind of array, its coefficients multiplied
-by the exponent and moved to the lowered monomial, built once per
-connection.  Equal polynomials have equal coefficient rows and evaluate to
-equal values, so the exact symmetries of the generated connections survive
-evaluation.  The origin curvature of a degree-1 field (the map K is built
-from) is the same scatter differentiated: the scatter of the coefficient
-gradients, antisymmetrized in the direction and the first slot.
+them.  The Christoffel data is one array of shape (m, m, m, n_mon), the signed
+block scatter of U and V above.  Every Christoffel symbol receives exactly one
+signed copy of one coefficient, so assembly is exact.  So are the torsion and
+nabla-J residuals (differences of such copies) and the Cauchy-Riemann check
+(derivative coefficients, each one product coefficient * exponent, compared
+with == 0).  Curvature is evaluated in floating point, at each point of a
+stack, from the Christoffel values and first derivatives there; a derivative is
+the same kind of array, its coefficients multiplied by the exponent and moved
+to the lowered monomial, built once per connection.  Equal polynomials have
+equal coefficient rows and evaluate to equal values, so the exact symmetries of
+the generated connections survive evaluation, and the curvature is exactly
+antisymmetric in its first pair.  The origin curvature of a degree-1 field (the
+map K is built from) is the same scatter differentiated: the scatter of the
+coefficient gradients, antisymmetrized in the direction and the first slot.
 """
 from __future__ import annotations
 
@@ -79,6 +79,18 @@ def arrays_from_terms(m_bar: int, terms) -> tuple[np.ndarray, np.ndarray, np.nda
         arrays[uv, i, j, k, n] = values
         arrays[uv, j, i, k, n] = values
     return arrays[0], arrays[1], np.array(support, dtype=np.int64).reshape(len(support), 2 * m_bar)
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted distinct rows, index of each row among them, first row of each);
+    the lexicographic sort is stable, so the first of each run is the earliest."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ordered[new], ids, order[new]
 
 
 def _require_degree_cap(degree: int) -> None:
@@ -191,8 +203,7 @@ class ThetaField:
         if other.m_bar != self.m_bar:
             raise ValueError("cannot add coefficient fields of different m_bar")
         (U1, V1, E1), (U2, V2, E2) = self.arrays, other.arrays
-        E, where = np.unique(np.concatenate([E1, E2]), axis=0, return_inverse=True)
-        where = where.reshape(-1)
+        E, where, _ = _distinct_rows(np.concatenate([E1, E2]))
         U, V = (np.zeros(U1.shape[:-1] + (len(E),)) for _ in range(2))
         for coeffs, mine, theirs in ((U, U1, U2), (V, V1, V2)):
             coeffs[..., where[: len(E1)]] = mine
@@ -244,14 +255,16 @@ def _partials(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np
     var, mono = np.nonzero(exponents.T)
     lowered = exponents[mono].copy()
     lowered[np.arange(len(mono)), var] -= 1
-    targets, where = np.unique(lowered, axis=0, return_inverse=True)
+    targets, where, _ = _distinct_rows(lowered)
     out = np.zeros((exponents.shape[1], len(targets)) + coeffs.shape[:-1])
-    out[var, where.reshape(-1)] = np.moveaxis(coeffs[..., mono] * exponents[mono, var], -1, 0)
+    out[var, where] = np.moveaxis(coeffs[..., mono] * exponents[mono, var], -1, 0)
     return targets, np.moveaxis(out, 1, -1)
 
 
-def _monomial_values(point: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    return np.prod(point ** exponents, axis=-1)
+def _polynomial_values(coeffs: np.ndarray, exponents: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[..., n] x^exponents[n] at each point of a (..., m) stack, row by row."""
+    monomials = np.prod(points[..., None, :] ** exponents, axis=-1)
+    return (coeffs * np.expand_dims(monomials, tuple(range(-coeffs.ndim, -1)))).sum(axis=-1)
 
 
 def holomorphy_type(theta: ThetaField) -> HolomorphyType:
@@ -316,23 +329,22 @@ class AffineConnection:
         """(lowered, dcoeffs): d_i Gamma[a][b][c] = sum_t dcoeffs[i, a, b, c, t] x^lowered[t]."""
         return _partials(self.coeffs, self.exponents)
 
-    def evaluate(self, point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense Gamma values and first derivatives at a point.
+    def evaluate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dense Gamma values and first derivatives at each point p of a (..., m) stack.
 
-        Returns (G, dG) with G[a, b, c] = Gamma[a][b][c](p) and
-        dG[i, a, b, c] = d_i Gamma[a][b][c](p).  Every polynomial is summed
-        along its own coefficient row in the same order, so equal (or
-        negated) polynomials evaluate to equal (or negated) values, as in the
-        exact symmetries of the generated connections.
+        Returns (G, dG) with G[..., a, b, c] = Gamma[a][b][c](p) and
+        dG[..., i, a, b, c] = d_i Gamma[a][b][c](p).  Every polynomial is
+        summed along its own coefficient row in the same order at every point,
+        so equal (or negated) polynomials evaluate to equal (or negated)
+        values, as in the exact symmetries of the generated connections.
         """
         m = self.config.m
-        point = np.asarray(point, dtype=float)
-        if point.shape != (m,):
-            raise ValueError(f"point must have {m} coordinates, got shape {point.shape}")
+        points = np.asarray(points, dtype=float)
+        if points.shape[-1:] != (m,):
+            raise ValueError(f"point must have {m} coordinates, got shape {points.shape}")
         lowered, dcoeffs = self._derivative
-        values = (self.coeffs * _monomial_values(point, self.exponents)).sum(axis=-1)
-        derivs = (dcoeffs * _monomial_values(point, lowered)).sum(axis=-1)
-        return values, derivs
+        values = _polynomial_values(self.coeffs, self.exponents, points)
+        return values, _polynomial_values(dcoeffs, lowered, points)
 
 
 def _christoffel_scatter(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -384,18 +396,24 @@ def nabla_j_residual(conn: AffineConnection) -> float:
     return float(np.max(np.abs(shuffled), initial=0.0))
 
 
-def curvature_at(conn: AffineConnection, point: np.ndarray) -> Tensor4:
-    """Curvature tensor at a point, lowered in the orthonormal basis.
+def _curvature_stack(conn: AffineConnection, points: np.ndarray) -> np.ndarray:
+    """Curvature entries at each point of a (..., m) stack, shape (..., m, m, m, m).
 
     R[a,b,c,d] = d_a Gamma[b][c][d] - d_b Gamma[a][c][d]
                  + sum_s (Gamma[a][s][d] Gamma[b][c][s] - Gamma[b][s][d] Gamma[a][c][s]).
+    Both differences are an array minus itself with a, b swapped: exactly antisymmetric.
     """
-    values, derivs = conn.evaluate(point)
-    linear = derivs - np.einsum("bacd->abcd", derivs)
-    quad = np.einsum("asd,bcs->abcd", values, values) - np.einsum(
-        "bsd,acs->abcd", values, values
-    )
-    return Tensor4(conn.config, linear + quad)
+    values, derivs = conn.evaluate(points)
+    linear = derivs - derivs.swapaxes(-4, -3)
+    quad = np.einsum("...asd,...bcs->...abcd", values, values)
+    return linear + (quad - quad.swapaxes(-4, -3))
+
+
+def curvature_at(conn: AffineConnection, point: np.ndarray) -> Tensor4:
+    """Curvature tensor at one point, lowered in the orthonormal basis."""
+    if np.shape(point) != (conn.config.m,):
+        raise ValueError(f"point must have {conn.config.m} coordinates, got shape {np.shape(point)}")
+    return Tensor4(conn.config, _curvature_stack(conn, point))
 
 
 def degree_one_gradients(theta: ThetaField) -> np.ndarray:

@@ -16,6 +16,7 @@ numpy's ``lstsq`` on the same columns is the test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .connections import (
     AffineConnection,
     HolomorphyKind,
     ThetaField,
+    _curvature_stack,
     connection_from_theta,
     curvature_at,
     holomorphy_type,
@@ -45,7 +47,7 @@ from .tensors import (
     Tensor4,
     _parity_parts,
     classify_symmetries,
-    j_parity_residuals,
+    j_conjugate_flat,
     require_bounded_entries,
     require_in_k,
 )
@@ -108,17 +110,27 @@ def verify_realization(tensor: Tensor4, theta: ThetaField) -> dict[str, float]:
     rebuilt connection, and the misfit of its origin curvature against the
     input.
     """
-    return _verification(tensor, connection_from_theta(theta), classify_symmetries(tensor))
+    conn = connection_from_theta(theta)
+    origin = curvature_at(conn, np.zeros(tensor.config.m)).entries
+    return _verification(tensor, conn, classify_symmetries(tensor), origin)
 
 
-def _verification(tensor: Tensor4, conn: AffineConnection, report: SymmetryReport) -> dict[str, float]:
-    curv = curvature_at(conn, np.zeros(tensor.config.m))
+def _verification(tensor: Tensor4, conn: AffineConnection, report: SymmetryReport,
+                  origin: np.ndarray) -> dict[str, float]:
     return {
         "input_in_k": max(report.violations[n] for n in ("antisym12", "bianchi1", "kahler_last2_1h")),
         "torsion": torsion_residual(conn),
         "nabla_j": nabla_j_residual(conn),
-        "curvature_match": float(np.linalg.norm(curv.entries - tensor.entries)),
+        "curvature_match": float(np.linalg.norm(origin - tensor.entries)),
     }
+
+
+@lru_cache(maxsize=None)
+def _sample_points(m: int) -> np.ndarray:
+    """The origin stacked on realize's five fixed off-origin points of [-1, 1]^m (read-only)."""
+    points = np.concatenate([np.zeros((1, m)), np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, m))])
+    points.setflags(write=False)
+    return points
 
 
 def realize(tensor: Tensor4, mode: str = "joint") -> RealizationResult:
@@ -132,10 +144,11 @@ def realize(tensor: Tensor4, mode: str = "joint") -> RealizationResult:
     once.  A residual above the tolerance is reported as an internal error
     since the parameter space is verified to span the whole admissible space.
 
-    The report also samples the curvature at five fixed non-origin points and
-    records its distance from each parity eigenspace there (informational).
-    A tensor with an entry beyond MAX_ENTRY in absolute value is
-    rejected up front (DomainViolation), before any of it could overflow.
+    The report also samples the curvature at five fixed non-origin points (in
+    one stacked pass with the origin) and records its distance from each parity
+    eigenspace there, as j_parity_residuals would (informational).  A tensor
+    with an entry beyond MAX_ENTRY in absolute value is rejected up front
+    (DomainViolation), before any of it could overflow.
     """
     require_bounded_entries(tensor, "realize")
     symmetries = require_in_k(tensor)
@@ -144,7 +157,8 @@ def realize(tensor: Tensor4, mode: str = "joint") -> RealizationResult:
     theta = theta_from_coefficients(tensor.config, _solve_coefficients(tensor, mode))
 
     conn = connection_from_theta(theta)
-    report = _verification(tensor, conn, symmetries)
+    curvatures = _curvature_stack(conn, _sample_points(tensor.config.m))
+    report = _verification(tensor, conn, symmetries, curvatures[0])
     scale = max(1.0, tensor.norm())
     residual = report["curvature_match"]
     verified = (
@@ -158,13 +172,11 @@ def realize(tensor: Tensor4, mode: str = "joint") -> RealizationResult:
             "the parameter space is supposed to span every admissible tensor"
         )
 
-    rng = np.random.default_rng(0)
-    odd_worst = even_worst = 0.0
-    for _ in range(5):
-        point = rng.uniform(-1.0, 1.0, size=tensor.config.m)
-        odd, even = j_parity_residuals(curvature_at(conn, point))
-        odd_worst = max(odd_worst, odd)
-        even_worst = max(even_worst, even)
+    offsite = curvatures[1:].reshape(len(curvatures) - 1, -1)
+    conj = j_conjugate_flat(offsite, tensor.config.m_bar)
+    odd_worst, even_worst = (
+        max(0.0, *(float(np.linalg.norm(row)) for row in part / 2.0)) for part in (offsite - conj, offsite + conj)
+    )
     report["offsite_max_odd_part"] = odd_worst
     report["offsite_max_even_part"] = even_worst
 

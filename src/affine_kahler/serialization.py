@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .connections import DEGREE_CAP, ThetaField, _require_degree_cap
+from .connections import DEGREE_CAP, ThetaField, _distinct_rows, _require_degree_cap
 from .errors import SchemaViolation
 from .tensors import SpaceConfig, Tensor4
 
@@ -76,21 +76,6 @@ def _floats(numbers: list) -> np.ndarray:
 def _first(mask: np.ndarray) -> int | None:
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sorted distinct rows, index of each row among them, first row of each).
-
-    The rows are sorted lexicographically by a stable sort, so the first of
-    each run of equal rows is the earliest.
-    """
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(new) - 1
-    return ordered[new], ids, order[new]
 
 
 # -- tensor files -----------------------------------------------------------

@@ -9,6 +9,8 @@ from affine_kahler.connections import (
     AffineConnection,
     HolomorphyKind,
     ThetaField,
+    _curvature_stack,
+    _distinct_rows,
     connection_from_theta,
     curvature_at,
     holomorphy_type,
@@ -238,8 +240,9 @@ def test_quadratic_curvature_matches_complex_product_oracle(rng):
 
 def test_curvature_point_shape_is_validated(cfg2):
     conn = connection_from_theta(ThetaField.zero(2))
-    with pytest.raises(ValueError, match="coordinates"):
-        curvature_at(conn, np.zeros(3))
+    for point in (np.zeros(3), np.zeros((2, 4))):
+        with pytest.raises(ValueError, match="coordinates"):
+            curvature_at(conn, point)
 
 
 # -- holomorphy ------------------------------------------------------------------
@@ -386,6 +389,55 @@ def test_array_route_matches_dict_oracle_on_mixed_fields(m_bar):
                 got = curvature_at(conn, point).entries
                 want = oracle.curvature_at(gamma, m_bar, point)
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_stacked_curvature_equals_single_points_and_the_two_product_formula(m_bar):
+    # Fields with constant terms, so the quadratic Christoffel products are live everywhere.
+    rng = np.random.default_rng(40 + m_bar)
+    cfg = SpaceConfig(m_bar)
+    for kind in FIELD_KINDS:
+        for dyadic in (True, False):
+            conn = connection_from_theta(random_mixed_theta(m_bar, rng, kind, dyadic))
+            points = np.vstack([np.zeros(cfg.m), rng.uniform(-1.0, 1.0, size=(5, cfg.m))])
+            stacked = _curvature_stack(conn, points)
+            assert stacked.shape == (6,) + (cfg.m,) * 4
+            grid = _curvature_stack(conn, points.reshape(2, 3, cfg.m))
+            assert np.array_equal(grid, stacked.reshape(grid.shape))
+            for point, curv in zip(points, stacked):
+                single = curvature_at(conn, point).entries
+                assert np.array_equal(curv, single)
+                values, derivs = conn.evaluate(point)
+                two_products = (derivs - np.einsum("bacd->abcd", derivs)) + (
+                    np.einsum("asd,bcs->abcd", values, values) - np.einsum("bsd,acs->abcd", values, values)
+                )
+                assert np.array_equal(single, two_products)
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_curvature_is_exactly_antisymmetric_off_the_origin(m_bar):
+    rng = np.random.default_rng(50 + m_bar)
+    cfg = SpaceConfig(m_bar)
+    for kind in FIELD_KINDS:
+        for dyadic in (True, False):
+            conn = connection_from_theta(random_mixed_theta(m_bar, rng, kind, dyadic))
+            for _ in range(2):
+                report = classify_symmetries(curvature_at(conn, random_point(cfg, rng)))
+                assert report.violations["antisym12"] == 0.0
+
+
+@pytest.mark.parametrize("count", [60, 1, 0])
+def test_distinct_rows_match_numpy_unique(count):
+    # Small signed integers, so a 60-row draw repeats rows.
+    rows = np.random.default_rng(count).integers(-1, 2, size=(count, 3))
+    distinct, where, first = _distinct_rows(rows)
+    want, inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert distinct.shape == want.shape and np.array_equal(distinct, want)
+    assert np.array_equal(where, inverse.reshape(-1))
+    assert np.array_equal(rows[first], distinct)
+    assert first.tolist() == [where.tolist().index(t) for t in range(len(distinct))]
+    if count == 60:
+        assert len(distinct) < count
 
 
 @pytest.mark.parametrize("m_bar", [2, 3])

@@ -26,7 +26,7 @@ from affine_kahler.realization import (
     theta_from_coefficients,
     verify_realization,
 )
-from affine_kahler.sampling import random_degree_one_theta, random_kahler_tensor, random_point
+from affine_kahler.sampling import random_degree_one_theta, random_kahler_tensor, random_parity_tensor, random_point
 from affine_kahler.serialization import read_tensor_file
 from affine_kahler.tensors import (
     MAX_ENTRY,
@@ -326,6 +326,26 @@ def test_offsite_parity_is_reported(cfg2, rng):
     result = realize(tensor, mode="split")
     assert "offsite_max_odd_part" in result.report
     assert "offsite_max_even_part" in result.report
+
+
+@pytest.mark.parametrize("m_bar", [2, 3])
+def test_realize_report_matches_the_per_point_route(m_bar):
+    # The origin and the five default_rng(0) points, one curvature_at each.
+    cfg = SpaceConfig(m_bar)
+    rng = np.random.default_rng(60 + m_bar)
+    tensors = [random_kahler_tensor(cfg, rng)] + [random_parity_tensor(cfg, rng, p) for p in ("plus", "minus")]
+    for tensor in tensors:
+        for mode in ("joint", "split"):
+            result = realize(tensor, mode=mode)
+            conn = connection_from_theta(result.theta)
+            origin = curvature_at(conn, np.zeros(cfg.m)).entries
+            assert result.report["curvature_match"] == float(np.linalg.norm(origin - tensor.entries))
+            draws = np.random.default_rng(0)
+            parts = [j_parity_residuals(curvature_at(conn, draws.uniform(-1.0, 1.0, size=cfg.m))) for _ in range(5)]
+            assert result.report["offsite_max_odd_part"] == max(odd for odd, _ in parts)
+            assert result.report["offsite_max_even_part"] == max(even for _, even in parts)
+            verification = verify_realization(tensor, result.theta)
+            assert verification == {key: result.report[key] for key in verification}
 
 
 def test_column_order_is_documented_and_stable(cfg2):
