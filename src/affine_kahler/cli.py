@@ -69,6 +69,8 @@ def _option_error(args) -> str | None:
         return f"--mbar must be at least 2, got {args.mbar}"
     if args.command == "selftest" and args.trials < 1:
         return f"--trials must be at least 1, got {args.trials}"
+    if args.command == "selftest" and args.seed < 0:
+        return f"--seed must be a non-negative integer, got {args.seed}"
     if args.command in ("check", "decompose") and not (math.isfinite(args.tol) and args.tol >= 0.0):
         return f"--tol must be a finite number >= 0, got {args.tol}"
     return None

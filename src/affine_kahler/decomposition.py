@@ -312,7 +312,12 @@ def _per_size(build):
 
 
 def clear_caches() -> None:
-    """Drop every per-size memo (used to time cold construction)."""
+    """Drop every _per_size memo (used to time cold construction).
+
+    The lru_cache tables stay: _column_keys, _parameter_layout,
+    tensors.gather_table, tensors._j_action, standard_complex_structure,
+    realization._sample_points and sampling._unit_terms.
+    """
     with _cache_lock:
         for memo in _memos:
             memo.clear()

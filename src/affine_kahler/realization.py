@@ -42,12 +42,13 @@ from .errors import InternalCheckFailure
 from .linalg import require_finite_solution
 from .tensors import (
     DEFAULT_TOL,
+    K_IDENTITIES,
     SpaceConfig,
     SymmetryReport,
     Tensor4,
     _parity_parts,
     classify_symmetries,
-    j_conjugate_flat,
+    parity_norms,
     require_bounded_entries,
     require_in_k,
 )
@@ -118,7 +119,7 @@ def verify_realization(tensor: Tensor4, theta: ThetaField) -> dict[str, float]:
 def _verification(tensor: Tensor4, conn: AffineConnection, report: SymmetryReport,
                   origin: np.ndarray) -> dict[str, float]:
     return {
-        "input_in_k": max(report.violations[n] for n in ("antisym12", "bianchi1", "kahler_last2_1h")),
+        "input_in_k": max(report.violations[n] for n in K_IDENTITIES),
         "torsion": torsion_residual(conn),
         "nabla_j": nabla_j_residual(conn),
         "curvature_match": float(np.linalg.norm(origin - tensor.entries)),
@@ -172,13 +173,9 @@ def realize(tensor: Tensor4, mode: str = "joint") -> RealizationResult:
             "the parameter space is supposed to span every admissible tensor"
         )
 
-    offsite = curvatures[1:].reshape(len(curvatures) - 1, -1)
-    conj = j_conjugate_flat(offsite, tensor.config.m_bar)
-    odd_worst, even_worst = (
-        max(0.0, *(float(np.linalg.norm(row)) for row in part / 2.0)) for part in (offsite - conj, offsite + conj)
-    )
-    report["offsite_max_odd_part"] = odd_worst
-    report["offsite_max_even_part"] = even_worst
+    odd, even = parity_norms(curvatures[1:].reshape(len(curvatures) - 1, -1), tensor.config.m_bar)
+    report["offsite_max_odd_part"] = max(odd)
+    report["offsite_max_even_part"] = even_worst = max(even)
 
     # A purely holomorphic field must keep its curvature odd at every point,
     # not only at the origin; for mixed fields the numbers are informational.

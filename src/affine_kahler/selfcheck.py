@@ -9,9 +9,15 @@ per-size build already proves (ranks, column parities, the module carving)
 are not restated: a failed build certificate is an InternalCheckFailure,
 exit 3 from any command that builds.  The report is a deterministic function
 of (m_bar, trials, seed).
+
+Each group records its laws through one accumulator, a _Laws: a law's name,
+tolerance and value are given in one call where the value is computed, and
+the accumulator keeps the largest value per law with np.maximum, so a NaN
+sticks and fails its line instead of being passed over.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,16 +31,8 @@ from .connections import (
     nabla_j_residual,
     torsion_residual,
 )
-from .decomposition import (
-    W_LABELS,
-    bilinear_subspaces,
-    w_project,
-    w_subspaces,
-)
-from .realization import (
-    realize,
-    split_components,
-)
+from .decomposition import _MINUS_LABELS, W_LABELS, bilinear_subspaces, w_project, w_subspaces
+from .realization import realize, split_components
 from .sampling import (
     random_antiholomorphic_theta,
     random_degree_one_theta,
@@ -42,13 +40,9 @@ from .sampling import (
     random_kahler_tensor,
     random_point,
 )
-from .serialization import (
-    tensor_from_payload,
-    tensor_to_payload,
-    theta_from_payload,
-    theta_to_payload,
-)
+from .serialization import tensor_from_payload, tensor_to_payload, theta_from_payload, theta_to_payload
 from .tensors import (
+    K_IDENTITIES,
     SpaceConfig,
     apply_j_slots,
     classify_symmetries,
@@ -96,198 +90,141 @@ class SelfTestReport:
         return "\n".join(lines)
 
 
-def _trace_identities(config: SpaceConfig, rng: np.random.Generator, trials: int) -> list[CheckItem]:
-    def j_pull(mat: np.ndarray) -> np.ndarray:
-        return apply_j_slots(mat, config, (0, 1))
+class _Laws:
+    """The worst value seen per law, in first-recorded order."""
 
-    worst_j13 = worst_minus13 = worst_minus14 = worst_plus14 = worst_plus13 = 0.0
-    worst_tau = worst_split = worst_pyth = worst_idem = 0.0
+    def __init__(self) -> None:
+        self._worst: dict[str, tuple[float, float]] = {}
+
+    def __call__(self, name: str, tol: float, value) -> None:
+        """Record a value (a number, or an array whose largest entry counts)."""
+        prev = self._worst.get(name, (0.0, tol))[0]
+        self._worst[name] = (np.maximum(prev, np.max(value)), tol)
+
+    def items(self) -> list[CheckItem]:
+        return [CheckItem(name, worst, tol) for name, (worst, tol) in self._worst.items()]
+
+
+def _trace_identities(config: SpaceConfig, rng: np.random.Generator, trials: int) -> list[CheckItem]:
+    def j_gap(mat: np.ndarray, sign: float) -> np.ndarray:
+        """|J mat - sign * mat| entrywise, J pulled into both slots."""
+        return np.abs(apply_j_slots(mat, config, (0, 1)) - sign * mat)
+
+    law = _Laws()
     for _ in range(trials):
         tensor = random_kahler_tensor(config, rng)
         traces = ricci_traces(tensor)
-        rho13, rho14 = traces.rho13.entries, traces.rho14.entries
-        worst_j13 = max(worst_j13, float(np.max(np.abs(j_pull(rho13) - rho13))))
-        worst_tau = max(worst_tau, abs(traces.tau + np.trace(rho13)))
+        law("traces.rho13_j_invariant_on_K", 1e-9, j_gap(traces.rho13.entries, 1))
+        law("traces.tau_equals_minus_trace_rho13", 1e-9, abs(traces.tau + np.trace(traces.rho13.entries)))
 
         plus, minus = j_parity_split(tensor)
-        recon = plus.entries + minus.entries - tensor.entries
-        worst_split = max(worst_split, float(np.max(np.abs(recon))))
+        law("parity.split_reconstructs", 1e-12, np.abs(plus.entries + minus.entries - tensor.entries))
         pyth = tensor.norm() ** 2 - plus.norm() ** 2 - minus.norm() ** 2
-        worst_pyth = max(worst_pyth, abs(pyth) / max(1.0, tensor.norm() ** 2))
+        law("parity.pythagoras", 1e-12, abs(pyth) / max(1.0, tensor.norm() ** 2))
         replus, reminus = j_parity_split(plus)
-        worst_idem = max(worst_idem, float(np.max(np.abs(replus.entries - plus.entries))), reminus.norm())
+        law("parity.idempotent", 1e-12, [np.max(np.abs(replus.entries - plus.entries)), reminus.norm()])
 
         minus_traces = ricci_traces(minus)
-        worst_minus13 = max(worst_minus13, minus_traces.rho13.norm())
-        r14m = minus_traces.rho14.entries
-        worst_minus14 = max(worst_minus14, float(np.max(np.abs(j_pull(r14m) + r14m))))
+        law("traces.rho13_vanishes_on_K_minus", 1e-9, minus_traces.rho13.norm())
+        law("traces.rho14_j_odd_on_K_minus", 1e-9, j_gap(minus_traces.rho14.entries, -1))
         plus_traces = ricci_traces(plus)
-        r14p, r13p = plus_traces.rho14.entries, plus_traces.rho13.entries
-        worst_plus14 = max(worst_plus14, float(np.max(np.abs(j_pull(r14p) - r14p))))
-        worst_plus13 = max(worst_plus13, float(np.max(np.abs(j_pull(r13p) - r13p))))
-    return [
-        CheckItem("traces.rho13_j_invariant_on_K", worst_j13, 1e-9),
-        CheckItem("traces.tau_equals_minus_trace_rho13", worst_tau, 1e-9),
-        CheckItem("parity.split_reconstructs", worst_split, 1e-12),
-        CheckItem("parity.pythagoras", worst_pyth, 1e-12),
-        CheckItem("parity.idempotent", worst_idem, 1e-12),
-        CheckItem("traces.rho13_vanishes_on_K_minus", worst_minus13, 1e-9),
-        CheckItem("traces.rho14_j_odd_on_K_minus", worst_minus14, 1e-9),
-        CheckItem("traces.rho14_j_even_on_K_plus", worst_plus14, 1e-9),
-        CheckItem("traces.rho13_j_even_on_K_plus", worst_plus13, 1e-9),
-    ]
+        law("traces.rho14_j_even_on_K_plus", 1e-9, j_gap(plus_traces.rho14.entries, 1))
+        law("traces.rho13_j_even_on_K_plus", 1e-9, j_gap(plus_traces.rho13.entries, 1))
+    return law.items()
 
 
 def _decomposition_checks(config: SpaceConfig, rng: np.random.Generator, trials: int) -> list[CheckItem]:
-    spaces = w_subspaces(config)
-    worst_complete = worst_orth = worst_parity = 0.0
+    law = _Laws()
     for _ in range(trials):
         a = random_kahler_tensor(config, rng)
         b = random_kahler_tensor(config, rng)
         da, db = w_project(a), w_project(b)
-        worst_complete = max(worst_complete, da.residual / max(1.0, a.norm()))
+        law("modules.projection_complete", 1e-9, da.residual / max(1.0, a.norm()))
         scale = max(1.0, a.norm() * b.norm())
-        for la in W_LABELS:
-            for lb in W_LABELS:
-                if la == lb:
-                    continue
-                inner = da.components[la].inner(db.components[lb])
-                worst_orth = max(worst_orth, abs(inner) / scale)
+        for la, lb in itertools.permutations(W_LABELS, 2):
+            law("modules.pairwise_orthogonal", 1e-9, abs(da.components[la].inner(db.components[lb])) / scale)
         plus, minus = j_parity_split(a)
         dplus, dminus = w_project(plus), w_project(minus)
         for label in W_LABELS:
-            ref = dminus if label in ("W2", "W4", "W12") else dplus
-            gap = da.components[label] - ref.components[label]
-            worst_parity = max(worst_parity, gap.norm() / max(1.0, a.norm()))
+            gap = da.components[label] - (dminus if label in _MINUS_LABELS else dplus).components[label]
+            law("modules.parity_consistent", 1e-9, gap.norm() / max(1.0, a.norm()))
 
-    # rho14 maps W2 into S2- and W4 into L2-
     m = config.m
-    bil = bilinear_subspaces(config)
-    worst_image = {}
-    for label, target in (("W2", "S2-"), ("W4", "L2-")):
+    spaces, bil = w_subspaces(config), bilinear_subspaces(config)
+    for label, target, name in (
+        ("W2", "S2-", "modules.rho14_image_in_S2minus"),
+        ("W4", "L2-", "modules.rho14_image_in_L2minus"),
+    ):
         images = rho14_of(spaces[label].basis.reshape(-1, m, m, m, m)).reshape(spaces[label].dim, -1)
-        worst_image[label] = max(bil[target].residual(img) for img in images)
-    return [
-        CheckItem("modules.projection_complete", worst_complete, 1e-9),
-        CheckItem("modules.pairwise_orthogonal", worst_orth, 1e-9),
-        CheckItem("modules.parity_consistent", worst_parity, 1e-9),
-        CheckItem("modules.rho14_image_in_S2minus", worst_image["W2"], 1e-9),
-        CheckItem("modules.rho14_image_in_L2minus", worst_image["W4"], 1e-9),
-    ]
+        law(name, 1e-9, [bil[target].residual(img) for img in images])
+    return law.items()
 
 
 def _isomorphism_checks(config: SpaceConfig) -> list[CheckItem]:
-    m = config.m
-    bil = bilinear_subspaces(config)
-    spaces = w_subspaces(config)
-
-    lam = bil["L2_0+"]
-    images = apply_j_slots(lam.basis.reshape(-1, m, m), config, (-1,)).reshape(lam.dim, -1)
-    s_target = bil["S2_0+"]
-    worst_resid = max(s_target.residual(img) for img in images)
-    rank = int(np.linalg.matrix_rank(images, tol=1e-8))
-    # A bijection: full rank on the source, and source and target of equal dimension.
-    lam_checks = [
-        CheckItem("iso.L2plus_to_S2plus_lands", worst_resid, 1e-9),
-        CheckItem("iso.L2plus_to_S2plus_rank", float(max(lam.dim - rank, abs(s_target.dim - lam.dim))), 0.0),
-    ]
-
-    w9 = spaces["W9"]
-    w10 = spaces["W10"]
-    imgs = apply_j_slots(w9.basis.reshape(-1, m, m, m, m), config, (-1,)).reshape(w9.dim, -1)
-    worst_w10 = max(w10.residual(img) for img in imgs)
-    rank9 = int(np.linalg.matrix_rank(imgs, tol=1e-8))
-    return lam_checks + [
-        CheckItem("iso.W9_to_W10_lands", worst_w10, 1e-9),
-        CheckItem("iso.W9_to_W10_rank", float(max(w9.dim - rank9, abs(w10.dim - w9.dim))), 0.0),
-    ]
+    bil, spaces = bilinear_subspaces(config), w_subspaces(config)
+    law = _Laws()
+    # J on the last slot is a bijection from source onto target: the images
+    # land in the target, have full rank, and the dimensions agree.
+    for name, source, target in (
+        ("iso.L2plus_to_S2plus", bil["L2_0+"], bil["S2_0+"]),
+        ("iso.W9_to_W10", spaces["W9"], spaces["W10"]),
+    ):
+        images = apply_j_slots(source.basis.reshape(-1, config.m), config, (-1,)).reshape(source.dim, -1)
+        law(f"{name}_lands", 1e-9, [target.residual(img) for img in images])
+        rank = int(np.linalg.matrix_rank(images, tol=1e-8))
+        law(f"{name}_rank", 0.0, float(max(source.dim - rank, abs(target.dim - source.dim))))
+    return law.items()
 
 
 def _connection_checks(config: SpaceConfig, rng: np.random.Generator, trials: int) -> list[CheckItem]:
-    worst_torsion = worst_nabla = worst_link = 0.0
-    worst_in_k = worst_hol = worst_anti = 0.0
-    n_points = 5
+    law = _Laws()
+    origin = np.zeros(config.m)
     for _ in range(trials):
         theta = random_degree_one_theta(config, rng)
-        conn = connection_from_theta(theta)
-        worst_torsion = max(worst_torsion, torsion_residual(conn))
-        worst_nabla = max(worst_nabla, nabla_j_residual(conn))
-        gap = (
-            linear_curvature_at_zero(theta).entries
-            - curvature_at(conn, np.zeros(config.m)).entries
-        )
-        worst_link = max(worst_link, float(np.max(np.abs(gap))))
+        conn, hconn = connection_from_theta(theta), connection_from_theta(random_holomorphic_theta(config, rng))
+        for each in (conn, hconn):
+            law("connection.torsion_free", 0.0, torsion_residual(each))
+            law("connection.parallel_J", 0.0, nabla_j_residual(each))
+        gap = linear_curvature_at_zero(theta).entries - curvature_at(conn, origin).entries
+        law("connection.linear_route_matches", 1e-12, np.abs(gap))
 
-        hol = random_holomorphic_theta(config, rng)
-        hconn = connection_from_theta(hol)
-        worst_torsion = max(worst_torsion, torsion_residual(hconn))
-        worst_nabla = max(worst_nabla, nabla_j_residual(hconn))
-        for _ in range(n_points):
+        for _ in range(5):
             curv = curvature_at(hconn, random_point(config, rng))
-            report = classify_symmetries(curv)
-            worst_in_k = max(
-                report.violations["antisym12"],
-                report.violations["bianchi1"],
-                report.violations["kahler_last2_1h"],
-                worst_in_k,
-            )
-            _odd, even = j_parity_residuals(curv)
-            worst_hol = max(worst_hol, even)
+            violations = classify_symmetries(curv).violations
+            law("connection.curvature_in_K_at_points", 1e-9, [violations[name] for name in K_IDENTITIES])
+            law("connection.holomorphic_curvature_odd", 1e-9, j_parity_residuals(curv)[1])
 
-        anti = random_antiholomorphic_theta(config, rng)
-        aconn = connection_from_theta(anti)
-        odd, _ = j_parity_residuals(curvature_at(aconn, np.zeros(config.m)))
-        worst_anti = max(worst_anti, odd)
-    return [
-        CheckItem("connection.torsion_free", worst_torsion, 0.0),
-        CheckItem("connection.parallel_J", worst_nabla, 0.0),
-        CheckItem("connection.linear_route_matches", worst_link, 1e-12),
-        CheckItem("connection.curvature_in_K_at_points", worst_in_k, 1e-9),
-        CheckItem("connection.holomorphic_curvature_odd", worst_hol, 1e-9),
-        CheckItem("connection.antiholomorphic_origin_even", worst_anti, 1e-9),
-    ]
+        aconn = connection_from_theta(random_antiholomorphic_theta(config, rng))
+        law("connection.antiholomorphic_origin_even", 1e-9, j_parity_residuals(curvature_at(aconn, origin))[0])
+    return law.items()
 
 
 def _realization_checks(config: SpaceConfig, rng: np.random.Generator, trials: int) -> list[CheckItem]:
-    worst_round = worst_purity = 0.0
+    law = _Laws()
     for _ in range(trials):
         tensor = random_kahler_tensor(config, rng)
         for mode in ("joint", "split"):
             result = realize(tensor, mode=mode)
-            worst_round = max(
-                worst_round, result.report["curvature_match"] / max(1.0, tensor.norm())
-            )
-            if mode == "split":
-                hol_part, anti_part = split_components(result)
-                ok_hol = holomorphy_type(hol_part).kind in (
-                    HolomorphyKind.HOLOMORPHIC,
-                    HolomorphyKind.BOTH,
-                )
-                ok_anti = holomorphy_type(anti_part).kind in (
-                    HolomorphyKind.ANTIHOLOMORPHIC,
-                    HolomorphyKind.BOTH,
-                )
-                vanish = result.theta.vanishes_at_origin()
-                worst_purity = max(worst_purity, 0.0 if (ok_hol and ok_anti and vanish) else 1.0)
-    return [
-        CheckItem("realization.round_trip", worst_round, 1e-8),
-        CheckItem("realization.split_mode_purity", worst_purity, 0.0),
-    ]
+            law("realization.round_trip", 1e-8, result.report["curvature_match"] / max(1.0, tensor.norm()))
+        hol_part, anti_part = split_components(result)  # the split-mode field
+        pure = (
+            holomorphy_type(hol_part).kind in (HolomorphyKind.HOLOMORPHIC, HolomorphyKind.BOTH)
+            and holomorphy_type(anti_part).kind in (HolomorphyKind.ANTIHOLOMORPHIC, HolomorphyKind.BOTH)
+            and result.theta.vanishes_at_origin()
+        )
+        law("realization.split_mode_purity", 0.0, float(not pure))
+    return law.items()
 
 
 def _serialization_checks(config: SpaceConfig, rng: np.random.Generator, trials: int) -> list[CheckItem]:
-    worst_tensor = worst_theta = 0.0
+    law = _Laws()
     for _ in range(trials):
         tensor = random_kahler_tensor(config, rng)
         back = tensor_from_payload(tensor_to_payload(tensor))
-        worst_tensor = max(worst_tensor, float(np.max(np.abs(back.entries - tensor.entries))))
+        law("files.tensor_round_trip_exact", 0.0, np.abs(back.entries - tensor.entries))
         theta = random_holomorphic_theta(config, rng)
-        rebuilt = theta_from_payload(theta_to_payload(theta))
-        worst_theta = max(worst_theta, 0.0 if rebuilt == theta else 1.0)
-    return [
-        CheckItem("files.tensor_round_trip_exact", worst_tensor, 0.0),
-        CheckItem("files.theta_round_trip_exact", worst_theta, 0.0),
-    ]
+        law("files.theta_round_trip_exact", 0.0, float(theta_from_payload(theta_to_payload(theta)) != theta))
+    return law.items()
 
 
 def run_selftest(m_bar: int, trials: int, seed: int) -> SelfTestReport:

@@ -250,12 +250,6 @@ def j_conjugate_flat(flat: np.ndarray, m_bar: int) -> np.ndarray:
     return np.take(np.concatenate((flat, -flat), axis=-1), gather_table(m_bar)[_J0123], axis=-1)
 
 
-def _j_conjugate(tensor: Tensor4) -> np.ndarray:
-    """apply_j_slots(A, (0, 1, 2, 3)) as the table's one signed gather."""
-    conj = signed_gather(tensor.flatten(), gather_table(tensor.config.m_bar)[_J0123])
-    return conj.reshape(tensor.entries.shape)
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
     """Max-residual and pass flag per checked identity.
@@ -416,10 +410,18 @@ def j_parity_split(tensor: Tensor4, tol: float = DEFAULT_TOL) -> tuple[Tensor4, 
 
 def _parity_parts(tensor: Tensor4) -> tuple[Tensor4, Tensor4]:
     """(A_plus, A_minus) by full J conjugation, for a tensor already known to be in K."""
-    conj = _j_conjugate(tensor)
+    conj = signed_gather(tensor.flatten(), gather_table(tensor.config.m_bar)[_J0123]).reshape(tensor.entries.shape)
     plus = Tensor4(tensor.config, (tensor.entries + conj) / 2.0)
     minus = Tensor4(tensor.config, (tensor.entries - conj) / 2.0)
     return plus, minus
+
+
+def parity_norms(flat: np.ndarray, m_bar: int) -> tuple[list[float], list[float]]:
+    """(odd-part norms, even-part norms), one per row of an (n, m^4) stack
+    of flattened tensors."""
+    conj = j_conjugate_flat(flat, m_bar)
+    odd, even = ([float(np.linalg.norm(row)) for row in part / 2.0] for part in (flat - conj, flat + conj))
+    return odd, even
 
 
 def j_parity_residuals(tensor: Tensor4) -> tuple[float, float]:
@@ -428,9 +430,7 @@ def j_parity_residuals(tensor: Tensor4) -> tuple[float, float]:
     The first number vanishes iff A is parity-even (in K+ when A is in K),
     the second iff A is parity-odd.
     """
-    conj = _j_conjugate(tensor)
-    odd = float(np.linalg.norm((tensor.entries - conj) / 2.0))
-    even = float(np.linalg.norm((tensor.entries + conj) / 2.0))
+    (odd,), (even,) = parity_norms(tensor.flatten()[None], tensor.config.m_bar)
     return odd, even
 
 

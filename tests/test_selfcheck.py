@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
 
+from affine_kahler import selfcheck
 from affine_kahler.cli import main
 from affine_kahler.selfcheck import run_selftest
 
@@ -71,11 +73,12 @@ def test_selftest_rejects_zero_trials():
 
 
 def test_selftest_inventory():
-    items = run_selftest(2, 1, 0).items
-    names = [item.name for item in items]
-    assert names == INVENTORY
-    assert not set(names) & set(CERTIFIED_AT_BUILD)
-    assert all(math.isfinite(item.tol) for item in items)
+    for m_bar in (2, 3):
+        items = run_selftest(m_bar, 1, 0).items
+        names = [item.name for item in items]
+        assert names == INVENTORY
+        assert not set(names) & set(CERTIFIED_AT_BUILD)
+        assert all(math.isfinite(item.tol) for item in items)
 
 
 def test_selftest_report_items_match_the_rendered_lines(tmp_path, capsys):
@@ -91,3 +94,17 @@ def test_selftest_report_items_match_the_rendered_lines(tmp_path, capsys):
         assert name == item["name"]
         assert worst == f"worst={item['worst']:.6e}"
         assert tol == f"tol={item['tol']:.1e}"
+
+
+def test_a_nan_law_value_fails_its_line(monkeypatch, capsys):
+    real = selfcheck.ricci_traces
+    monkeypatch.setattr(selfcheck, "ricci_traces", lambda t: dataclasses.replace(real(t), tau=math.nan))
+    report = run_selftest(2, 2, 0)
+    items = {item.name: item for item in report.items}
+    tau = items["traces.tau_equals_minus_trace_rho13"]
+    assert math.isnan(tau.worst) and not tau.ok
+    assert not report.ok
+    assert "FAIL traces.tau_equals_minus_trace_rho13" in report.render()
+    assert all(item.ok for item in report.items if item is not tau)
+    assert main(["selftest", "--mbar", "2", "--trials", "2"]) == 1
+    assert "FAIL" in capsys.readouterr().out

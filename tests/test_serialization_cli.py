@@ -137,6 +137,14 @@ def test_cli_selftest_rejects_small_mbar(capsys):
     assert "--mbar" in capsys.readouterr().err
 
 
+def test_cli_selftest_rejects_negative_seed(capsys):
+    assert run_cli("selftest", "--mbar", "2", "--seed", "-1") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--seed" in err
+
+
 @pytest.mark.parametrize("command", ["check", "decompose"])
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 def test_cli_rejects_tolerance_out_of_range(command, tol, capsys):
